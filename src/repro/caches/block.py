@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from repro.common.errors import ConfigurationError
 
@@ -41,3 +42,21 @@ def set_index(address: int, block_bytes: int, n_sets: int) -> int:
             f"set count must be a positive power of two, got {n_sets}"
         )
     return (address // block_bytes) & (n_sets - 1)
+
+
+def lru_way(addrs: List[int], touch: List[int], base: int, first: int, count: int) -> int:
+    """Replacement choice among ``count`` flat frames starting at ``first``.
+
+    For flat per-frame state (``addrs`` -1 = free, ``touch`` = logical
+    time of the last touch) of the set whose frames start at ``base``:
+    the way (frame - base) of the first free frame, else of the least
+    recently touched one, the first of equals.
+    """
+    best = -1
+    best_touch = 0
+    for frame in range(first, first + count):
+        if addrs[frame] < 0:
+            return frame - base
+        if best < 0 or touch[frame] < best_touch:
+            best, best_touch = frame, touch[frame]
+    return best - base

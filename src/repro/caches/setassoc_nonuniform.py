@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.common import prewarm_cache
 from repro.common.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
-from repro.caches.block import block_address, set_index
+from repro.caches.block import block_address, lru_way, set_index
 from repro.caches.port import PortScheduler
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
 from repro.tech.energy import EnergyBook
@@ -59,6 +60,10 @@ class SetAssociativePlacementCache:
         self.n_dgroups = n_dgroups
         self.ways_per_dgroup = associativity // n_dgroups
         self.n_sets = blocks // associativity
+        if block_bytes & (block_bytes - 1) or self.n_sets & (self.n_sets - 1):
+            raise ConfigurationError(
+                "coupled placement needs power-of-two block size and set count"
+            )
         self.promote = promote
         self.geometry = geometry if geometry is not None else build_nurapid_geometry(
             n_dgroups=n_dgroups,
@@ -96,18 +101,43 @@ class SetAssociativePlacementCache:
         #: Optional telemetry client (None is the null sink).
         self.telemetry: Optional["CacheTelemetry"] = None
 
+        # Hot-path tables: per-d-group energy keys/costs, latencies and
+        # port occupancies, mask/shift set indexing, and direct views
+        # into the stats/energy dicts (both reset in place).  Pure
+        # re-expressions of the state above; bit-identical to charging
+        # through EnergyBook/Counter and requesting through the port.
+        # The inlined port grants skip PortScheduler's guard checks
+        # because they cannot fire: data and swap occupancies are at
+        # least 2 cycles by construction (NuRAPIDGeometry) and request
+        # times are the driver's non-negative clock plus tag cycles.
+        self._block_mask = ~(block_bytes - 1)
+        self._set_shift = block_bytes.bit_length() - 1
+        self._set_mask = self.n_sets - 1
+        groups = range(n_dgroups)
+        self._group_of_way = tuple(
+            way // self.ways_per_dgroup for way in range(associativity)
+        )
+        self._k_tag = f"{name}.tag_probe"
+        self._tag_cost = self.energy.cost(self._k_tag)
+        self._tag_cycles = geo.tag_cycles
+        self._miss_latency = float(geo.miss_latency())
+        self._k_read = [f"{name}.dg{g}.read" for g in groups]
+        self._k_write = [f"{name}.dg{g}.write" for g in groups]
+        self._read_cost = [self.energy.cost(k) for k in self._k_read]
+        self._write_cost = [self.energy.cost(k) for k in self._k_write]
+        self._data_occ = [geo.data_occupancy(g) for g in groups]
+        self._data_cycles = [geo.dgroups[g].data_cycles for g in groups]
+        self._k_move = [[f"{name}.move.{i}->{j}" for j in groups] for i in groups]
+        self._swap_occ = [[geo.swap_occupancy(i, j) for j in groups] for i in groups]
+        self._scounts = self.stats._counts
+        self._ecounts = self.energy._count
+
     # --- way/d-group mapping (the coupling under study) ---
 
     def dgroup_of_way(self, way: int) -> int:
         if not 0 <= way < self.associativity:
             raise ConfigurationError(f"way {way} out of range")
         return way // self.ways_per_dgroup
-
-    def _ways_of_dgroup(self, group: int) -> range:
-        if not 0 <= group < self.n_dgroups:
-            raise ConfigurationError(f"d-group {group} out of range")
-        start = group * self.ways_per_dgroup
-        return range(start, start + self.ways_per_dgroup)
 
     def _set_of(self, address: int) -> int:
         return set_index(address, self.block_bytes, self.n_sets)
@@ -126,43 +156,51 @@ class SetAssociativePlacementCache:
     # --- access path ---
 
     def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        baddr = block_address(address, self.block_bytes)
-        index = self._set_of(address)
-        self.stats.add("accesses")
+        baddr = address & self._block_mask
+        index = (address >> self._set_shift) & self._set_mask
+        sc = self._scounts
+        ec = self._ecounts
+        sc["accesses"] = sc.get("accesses", 0) + 1
         self._clock += 1
-        energy = self.energy.charge(f"{self.name}.tag_probe")
+        ec[self._k_tag] += 1
+        energy = self._tag_cost
 
         way = self._where[index].get(baddr)
         if way is None:
             # Sequential tag-data access: the pipelined tag probe alone
             # determines the miss.
-            self.stats.add("misses")
+            sc["misses"] = sc.get("misses", 0) + 1
             if self.telemetry is not None:
-                self.telemetry.on_access(
-                    baddr, False, None, float(self.geometry.miss_latency())
-                )
+                self.telemetry.on_access(baddr, False, None, self._miss_latency)
             return AccessResult(
-                hit=False,
-                latency=float(self.geometry.miss_latency()),
-                level=self.name,
-                energy_nj=energy,
+                hit=False, latency=self._miss_latency, level=self.name, energy_nj=energy
             )
 
-        group = self.dgroup_of_way(way)
-        self.stats.add("hits")
-        self.dgroup_hits.add(group)
+        group = self._group_of_way[way]
+        sc["hits"] = sc.get("hits", 0) + 1
+        dh = self.dgroup_hits.counts
+        dh[group] = dh.get(group, 0) + 1
         frame = index * self.associativity + way
         self._touch[frame] = self._clock
         if is_write:
             self._dirty[frame] = 1
-        op = "write" if is_write else "read"
-        energy += self.energy.charge(f"{self.name}.dg{group}.{op}")
-        self.stats.add("dgroup_accesses")
+            ec[self._k_write[group]] += 1
+            energy += self._write_cost[group]
+        else:
+            ec[self._k_read[group]] += 1
+            energy += self._read_cost[group]
+        sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
 
-        start, _ = self.port.request(
-            now + self.geometry.tag_cycles, self.geometry.data_occupancy(group)
-        )
-        latency = (start - now) + self.geometry.dgroups[group].data_cycles
+        port = self.port
+        occ = self._data_occ[group]
+        t = now + self._tag_cycles
+        bu = port.busy_until
+        start = t if t >= bu else bu
+        port.busy_until = start + occ
+        port.total_busy += occ
+        port.total_wait += start - t
+        port.grants += 1
+        latency = (start - now) + self._data_cycles[group]
 
         if self.telemetry is not None:
             self.telemetry.on_access(baddr, True, group, latency)
@@ -174,142 +212,130 @@ class SetAssociativePlacementCache:
             hit=True, latency=latency, level=self.name, dgroup=group, energy_nj=energy
         )
 
-    def _lru_way(self, index: int, group: int, occupied_only: bool = False) -> Optional[int]:
-        """LRU way of ``group`` in ``set``; optionally only occupied ways."""
-        best: Optional[int] = None
-        best_touch = None
-        base = index * self.associativity
-        for way in self._ways_of_dgroup(group):
-            occupied = self._addrs[base + way] >= 0
-            if occupied_only and not occupied:
-                continue
-            touch = (occupied, self._touch[base + way])
-            # Free ways sort before occupied ones, then by recency.
-            if best_touch is None or touch < best_touch:
-                best, best_touch = way, touch
-        return best
-
     def _promote(self, index: int, way: int, group: int, now: float) -> None:
         """Next-fastest promotion: swap with the adjacent group's LRU way."""
         target = group - 1
-        peer = self._lru_way(index, target)
-        if peer is None:
-            raise SimulationError("d-group has no ways in this set")
-        self.stats.add("promotions")
+        wpg = self.ways_per_dgroup
+        addrs, dirty, touch = self._addrs, self._dirty, self._touch
+        base = index * self.associativity
+        peer = lru_way(addrs, touch, base, base + target * wpg, wpg)
+        sc = self._scounts
+        sc["promotions"] = sc.get("promotions", 0) + 1
+        fa = base + way
+        fb = base + peer
         if self.telemetry is not None:
             self.telemetry.event(
-                "promotion",
-                addr=self._addrs[index * self.associativity + way],
-                src=group,
-                dst=target,
-                cycle=now,
+                "promotion", addr=addrs[fa], src=group, dst=target, cycle=now
             )
-        self._swap_ways(index, way, peer)
+        addrs[fa], addrs[fb] = addrs[fb], addrs[fa]
+        dirty[fa], dirty[fb] = dirty[fb], dirty[fa]
+        touch[fa], touch[fb] = touch[fb], touch[fa]
+        where = self._where[index]
+        where[addrs[fb]] = peer
+        demoted = addrs[fa]
+        if demoted >= 0:
+            where[demoted] = way
         self._charge_move(group, target, now)
-        demoted = self._addrs[index * self.associativity + way]
         if demoted >= 0:
             # A real two-way swap (the peer way was occupied).
-            self.stats.add("demotions")
+            sc["demotions"] = sc.get("demotions", 0) + 1
             if self.telemetry is not None:
                 self.telemetry.event(
                     "demotion", addr=demoted, src=target, dst=group, cycle=now
                 )
             self._charge_move(target, group, now)
 
-    def _swap_ways(self, index: int, a: int, b: int) -> None:
-        addrs, dirty, touch = self._addrs, self._dirty, self._touch
-        base = index * self.associativity
-        fa, fb = base + a, base + b
-        addrs[fa], addrs[fb] = addrs[fb], addrs[fa]
-        dirty[fa], dirty[fb] = dirty[fb], dirty[fa]
-        touch[fa], touch[fb] = touch[fb], touch[fa]
-        where = self._where[index]
-        if addrs[fa] >= 0:
-            where[addrs[fa]] = a
-        if addrs[fb] >= 0:
-            where[addrs[fb]] = b
-
     def _charge_move(self, src: int, dst: int, now: float, occupy: bool = True) -> None:
-        self.energy.charge(f"{self.name}.move.{src}->{dst}")
-        self.stats.add("dgroup_accesses", 2)
-        self.stats.add("moves")
+        self._ecounts[self._k_move[src][dst]] += 1
+        sc = self._scounts
+        sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 2
+        sc["moves"] = sc.get("moves", 0) + 1
         if occupy:
-            self.port.request(now, self.geometry.swap_occupancy(src, dst))
+            port = self.port
+            occ = self._swap_occ[src][dst]
+            bu = port.busy_until
+            start = now if now >= bu else bu
+            port.busy_until = start + occ
+            port.total_busy += occ
+            port.total_wait += start - now
+            port.grants += 1
 
     # --- fills: place fastest, bubble-demote within the set ---
 
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        baddr = block_address(address, self.block_bytes)
-        index = self._set_of(address)
-        if baddr in self._where[index]:
+        baddr = address & self._block_mask
+        index = (address >> self._set_shift) & self._set_mask
+        where = self._where[index]
+        if baddr in where:
             return 0
-        self.stats.add("fills")
+        sc = self._scounts
+        sc["fills"] = sc.get("fills", 0) + 1
         self._clock += 1
+        addrs, dirty_bits, touch = self._addrs, self._dirty, self._touch
+        base = index * self.associativity
+        wpg = self.ways_per_dgroup
         writebacks = 0
 
         # If the set is full, evict the LRU way of the slowest group
         # (bubble data replacement: not necessarily the set's LRU).
-        if len(self._where[index]) >= self.associativity:
-            victim_way = self._lru_way(index, self.n_dgroups - 1, occupied_only=True)
-            if victim_way is None:
-                raise SimulationError("full set has an empty slowest group")
-            frame = index * self.associativity + victim_way
-            victim_addr = self._addrs[frame]
+        # Every way of a full set is occupied, so the LRU way is too.
+        if len(where) >= self.associativity:
+            slowest = self.n_dgroups - 1
+            frame = base + lru_way(addrs, touch, base, base + slowest * wpg, wpg)
+            victim_addr = addrs[frame]
             assert victim_addr >= 0
-            del self._where[index][victim_addr]
-            self.stats.add("evictions")
+            del where[victim_addr]
+            sc["evictions"] = sc.get("evictions", 0) + 1
             if self.telemetry is not None:
                 self.telemetry.event(
-                    "eviction",
-                    addr=victim_addr,
-                    dgroup=self.dgroup_of_way(victim_way),
-                    cycle=now,
+                    "eviction", addr=victim_addr, dgroup=slowest, cycle=now
                 )
-            if self._dirty[frame]:
+            if dirty_bits[frame]:
                 writebacks = 1
-                self.stats.add("writebacks")
-                group = self.dgroup_of_way(victim_way)
-                self.energy.charge(f"{self.name}.dg{group}.read")
-                self.stats.add("dgroup_accesses")
+                sc["writebacks"] = sc.get("writebacks", 0) + 1
+                self._ecounts[self._k_read[slowest]] += 1
+                sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
                 if self.telemetry is not None:
                     self.telemetry.event(
-                        "writeback", addr=victim_addr, dgroup=group, cycle=now
+                        "writeback", addr=victim_addr, dgroup=slowest, cycle=now
                     )
-            self._addrs[frame] = -1
-            self._dirty[frame] = 0
-            self._touch[frame] = 0
+            addrs[frame] = -1
+            dirty_bits[frame] = 0
+            touch[frame] = 0
 
         # Demotion chain toward the freed (or naturally free) way.
         group = 0
         carry_addr = baddr
-        carry_dirty = dirty
+        carry_dirty = 1 if dirty else 0
         carry_touch = self._clock
         while True:
-            way = self._lru_way(index, group)
-            if way is None:
-                raise SimulationError("d-group has no ways in this set")
-            frame = index * self.associativity + way
-            displaced = (self._addrs[frame], self._dirty[frame], self._touch[frame])
-            self._addrs[frame] = carry_addr
-            self._dirty[frame] = 1 if carry_dirty else 0
-            self._touch[frame] = carry_touch
-            self._where[index][carry_addr] = way
+            way = lru_way(addrs, touch, base, base + group * wpg, wpg)
+            frame = base + way
+            displaced = addrs[frame]
+            displaced_dirty = dirty_bits[frame]
+            displaced_touch = touch[frame]
+            addrs[frame] = carry_addr
+            dirty_bits[frame] = carry_dirty
+            touch[frame] = carry_touch
+            where[carry_addr] = way
             if group > 0:
-                self.stats.add("demotions")
+                sc["demotions"] = sc.get("demotions", 0) + 1
                 if self.telemetry is not None:
                     self.telemetry.event(
                         "demotion", addr=carry_addr, src=group - 1, dst=group, cycle=now
                     )
                 self._charge_move(group - 1, group, now, occupy=False)
-            if displaced[0] < 0:
+            if displaced < 0:
                 break
-            carry_addr, carry_dirty, carry_touch = displaced
+            carry_addr = displaced
+            carry_dirty = displaced_dirty
+            carry_touch = displaced_touch
             group += 1
             if group >= self.n_dgroups:
                 raise SimulationError("demotion chain overran the slowest group")
 
-        self.energy.charge(f"{self.name}.dg0.write")
-        self.stats.add("dgroup_accesses")
+        self._ecounts[self._k_write[0]] += 1
+        sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         if self.telemetry is not None:
             self.telemetry.event("placement", addr=baddr, dgroup=0, cycle=now)
         return writebacks
@@ -319,16 +345,36 @@ class SetAssociativePlacementCache:
     PREWARM_BASE = 1 << 45
 
     def prewarm(self) -> None:
-        """Fill every way with a clean dummy block (steady-state start)."""
-        for index in range(self.n_sets):
-            base = index * self.associativity
-            for way in range(self.associativity):
+        """Fill every way with a clean dummy block (steady-state start).
+
+        Way ``w`` of set ``i`` gets ``PREWARM_BASE + (w * sets + i) *
+        block_bytes``.  On an empty cache the fill depends only on the
+        set count, associativity and block size, so it is restored from
+        a shared prototype (:mod:`repro.common.prewarm_cache`); a
+        partly filled cache gets dummies in its free ways only.
+        """
+        sets = self.n_sets
+        assoc = self.associativity
+        bb = self.block_bytes
+        if not any(self._where):
+            key = f"{type(self).__qualname__}|{sets}|{assoc}|{bb}"
+            proto = prewarm_cache.get(key)
+            if proto is None:
+                addrs = prewarm_cache.dummy_addresses(self.PREWARM_BASE, sets, assoc, bb)
+                proto = (addrs, prewarm_cache.way_maps(addrs, assoc))
+                prewarm_cache.put(key, proto)
+            addrs, where = proto
+            self._addrs[:] = addrs
+            self._dirty[:] = bytes(len(addrs))
+            self._touch[:] = [0] * len(addrs)
+            self._where[:] = [dict(w) for w in where]
+            return
+        for index in range(sets):
+            base = index * assoc
+            for way in range(assoc):
                 if self._addrs[base + way] >= 0:
                     continue
-                baddr = (
-                    self.PREWARM_BASE
-                    + (way * self.n_sets + index) * self.block_bytes
-                )
+                baddr = self.PREWARM_BASE + (way * sets + index) * bb
                 self._addrs[base + way] = baddr
                 self._dirty[base + way] = 0
                 self._touch[base + way] = 0

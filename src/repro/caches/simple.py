@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.common import prewarm_cache
 from repro.common.errors import ConfigurationError
 from repro.common.types import AccessResult
 from repro.caches.block import CacheBlock, block_address, set_index
@@ -261,14 +262,37 @@ class SetAssociativeCache:
     PREWARM_BASE = 1 << 45
 
     def prewarm(self) -> None:
-        """Fill every way with a clean dummy block (steady-state start)."""
+        """Fill every way with a clean dummy block (steady-state start).
+
+        Way ``w`` of set ``i`` gets ``PREWARM_BASE + (w * sets + i) *
+        block_bytes``.  On a cache that has never been filled (clock
+        still at 1) the fill depends only on the set count,
+        associativity and block size, so its tags and stamps come from
+        a shared prototype (:mod:`repro.common.prewarm_cache`); any
+        other cache gets dummies in its free ways only, skipping those
+        already resident.
+        """
         tags = self._tags
         stamps = self._stamps
         assoc = self._assoc
-        clock = self._clock
         block_bytes = self.spec.block_bytes
         n_sets = self.n_sets
         base_addr = self.PREWARM_BASE
+        if self._clock == 1:
+            key = f"{type(self).__qualname__}|{n_sets}|{assoc}|{block_bytes}"
+            proto = prewarm_cache.get(key)
+            if proto is None:
+                # Fresh sets fill way-ascending: frame f = index*assoc +
+                # way takes the dummy of (index, way) at stamp 1 + f.
+                proto = (
+                    prewarm_cache.dummy_addresses(base_addr, n_sets, assoc, block_bytes),
+                    list(range(1, n_sets * assoc + 1)),
+                )
+                prewarm_cache.put(key, proto)
+            tags[:], stamps[:] = proto
+            self._clock = len(tags) + 1
+            return
+        clock = self._clock
         for index in range(n_sets):
             base = index * assoc
             for way in range(assoc):

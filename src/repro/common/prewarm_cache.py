@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Optional
+from typing import Dict, List, Optional
+
+import numpy as np
 
 #: Distinct cache shapes retained (FIFO).  Suites sweep only a handful
 #: of shapes; the cap bounds memory if something generates many.
@@ -56,3 +58,25 @@ def put(key: str, snapshot: object) -> None:
 def clear() -> None:
     """Drop every prototype (tests)."""
     _snapshots.clear()
+
+
+def dummy_addresses(base: int, sets: int, ways: int, block_bytes: int) -> List[int]:
+    """Prewarm dummy block addresses for every (set, way), set-major.
+
+    Entry ``i * ways + w`` is ``base + (w * sets + i) * block_bytes``:
+    way ``w`` of set ``i``, materialized in one C pass.
+    """
+    grid = (
+        np.arange(sets, dtype=np.int64)[:, None]
+        + np.arange(ways, dtype=np.int64)[None, :] * sets
+    )
+    return (base + grid * block_bytes).ravel().tolist()
+
+
+def way_maps(addrs: List[int], ways: int) -> List[Dict[int, int]]:
+    """Per-set ``{address: way}`` maps over a set-major address list."""
+    positions = range(ways)
+    return [
+        dict(zip(addrs[start : start + ways], positions))
+        for start in range(0, len(addrs), ways)
+    ]

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.common import prewarm_cache
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Counter, Distribution
@@ -214,21 +212,13 @@ class SNUCACache:
                 for policy, state in zip(self._lru, lru):
                     policy.load_state(state)
                 return
-        # base + (way*n_sets + index)*bb for every (set, way), one C pass.
-        rows = (
-            base
-            + (
-                np.arange(n_sets, dtype=np.int64)[:, None]
-                + np.arange(assoc, dtype=np.int64)[None, :] * n_sets
-            )
-            * bb
-        ).tolist()
+        addrs = prewarm_cache.dummy_addresses(base, n_sets, assoc, bb)
         for index in range(n_sets):
             resident = self._sets[index]
             if not resident:
                 # Bulk path for the common fresh-cache case: same
                 # addresses in the same way-ascending order.
-                baddrs = rows[index]
+                baddrs = addrs[index * assoc : (index + 1) * assoc]
                 self._sets[index] = dict.fromkeys(baddrs, False)
                 self._lru[index].insert_many(baddrs)
                 continue

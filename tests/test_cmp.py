@@ -23,12 +23,15 @@ from repro.cmp.engine import generate_cmp_trace, jain_fairness, run_cmp
 from repro.cmp.scenarios import cmp_nurapid_config, cmp_snuca_config, per_core_ipcs
 from repro.common.errors import ConfigurationError
 from repro.nurapid.compression import CompressedNuRAPIDCache
+from repro.nuca.config import SearchPolicy
 from repro.nurapid.config import NuRAPIDConfig
 from repro.sim.config import (
     EXACT_ENGINES,
     SystemConfig,
     base_config,
+    dnuca_config,
     nurapid_config,
+    sa_nuca_config,
     snuca_config,
 )
 from repro.sim.driver import run_benchmark
@@ -68,7 +71,15 @@ def _summary(config: SystemConfig, benchmark: str, seed: int, engine: str,
 class TestSingleCoreParity:
     @pytest.mark.parametrize(
         "config",
-        [nurapid_config(), snuca_config(), base_config()],
+        [
+            nurapid_config(),
+            snuca_config(),
+            base_config(),
+            dnuca_config(),
+            dnuca_config(policy=SearchPolicy.SS_ENERGY),
+            dnuca_config(policy=SearchPolicy.INCREMENTAL),
+            sa_nuca_config(),
+        ],
         ids=lambda c: c.name,
     )
     @pytest.mark.parametrize("engine", EXACT_ENGINES)

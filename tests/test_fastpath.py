@@ -16,6 +16,7 @@ import pytest
 from repro.common.errors import ConfigurationError, UncorrectableDataError
 from repro.cpu.core import CoreModel
 from repro.faults.models import FaultPlan, HardFaultEvent
+from repro.nuca.config import SearchPolicy
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim import fastpath
 from repro.sim.config import (
@@ -54,6 +55,15 @@ def shipped_configs():
         sa_nuca_config(),
         snuca_config(),
     ]
+
+
+#: D-NUCA variants beyond the shipped default: the sequential search
+#: policies and head insertion take different promotion/eviction paths.
+DNUCA_VARIANTS = [
+    dnuca_config(policy=SearchPolicy.SS_ENERGY),
+    dnuca_config(policy=SearchPolicy.INCREMENTAL),
+    dnuca_config(tail_insertion=False, name="dnuca-head-insertion"),
+]
 
 
 _TRACES = {}
@@ -105,7 +115,7 @@ class TestEngineSelection:
 
 class TestResultParity:
     @pytest.mark.parametrize(
-        "config", shipped_configs(), ids=lambda c: c.name
+        "config", shipped_configs() + DNUCA_VARIANTS, ids=lambda c: c.name
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_summary_identical(self, config, seed):
@@ -129,6 +139,26 @@ class TestResultParity:
         assert reports["legacy"] == reports["fast"]
         assert reports["legacy"] == reports["vectorized"]
         assert reports["fast"].startswith("== telemetry report ==")
+
+
+class TestL2HeavyParity:
+    """mcf drives the D-NUCA and SA-NUCA promotion, demotion and
+    tail-eviction paths far harder than twolf."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [dnuca_config()] + DNUCA_VARIANTS + [sa_nuca_config()],
+        ids=lambda c: c.name,
+    )
+    def test_mcf_summary_and_telemetry_identical(self, config):
+        outputs = {}
+        for engine in EXACT_ENGINES:
+            payload = run_dict(config, "mcf", 1, engine, telemetry=TelemetryConfig())
+            telem = payload.pop("telemetry")
+            outputs[engine] = (payload, render_report(merge_payloads([("cell", telem)])))
+        assert outputs["legacy"][0]["stats"]["evictions"] > 0
+        for engine in EXACT_ENGINES[1:]:
+            assert outputs[engine] == outputs["legacy"], engine
 
 
 class TestAccessResultSequence:

@@ -168,7 +168,8 @@ class TestSearchPolicies:
         c = tiny(policy=SearchPolicy.SS_PERFORMANCE)
         a = 0x10000
         c.fill(a)
-        tail_bank = c._bank_of(c._set_of(a), c.config.chain_length - 1)
+        geo = c.geometry
+        tail_bank = geo.chain_bank(c._set_of(a) % geo.n_chains, c.config.chain_length - 1)
         r = c.access(a, now=10_000.0)
         assert r.latency >= tail_bank.latency_cycles
 

@@ -1,7 +1,12 @@
 """Prewarm: the steady-state initial condition for all cache models."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
+from repro.cmp.config import CmpConfig, CompressionConfig
+from repro.common import prewarm_cache
 from repro.common.errors import SimulationError
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
@@ -10,6 +15,18 @@ from repro.nuca.cache import DNUCACache
 from repro.nuca.config import DNUCAConfig
 from repro.nurapid.cache import NuRAPIDCache
 from repro.nurapid.config import NuRAPIDConfig
+from repro.nuca.config import SearchPolicy
+from repro.sim.config import (
+    base_config,
+    dnuca_config,
+    nurapid_config,
+    sa_nuca_config,
+    snuca_config,
+)
+from repro.sim.driver import make_system, run_benchmark
+from repro.sim.results import run_result_to_dict
+from repro.workloads.spec2k import get_benchmark
+from repro.workloads.tracegen import generate_trace
 
 KB = 1024
 
@@ -132,3 +149,133 @@ class TestSAPlacementPrewarm:
         c.check_invariants()
         # Every way of set 0 is occupied.
         assert len(c._where[0]) == 4
+
+    def test_prewarm_tops_up_a_partly_filled_cache(self):
+        c = SetAssociativePlacementCache(
+            capacity_bytes=64 * KB, block_bytes=64, associativity=4, n_dgroups=4,
+            name="pwsa2",
+        )
+        c.fill(0x1000)
+        c.prewarm()
+        c.check_invariants()
+        assert c.contains(0x1000)
+        assert sum(len(w) for w in c._where) == 64 * KB // 64
+
+
+# --- prototype registry parity (repro.common.prewarm_cache) ---
+
+#: Every cache whose prewarm goes through the prototype registry.
+REGISTRY_CONFIGS = [
+    nurapid_config(),
+    replace(nurapid_config(), cmp=CmpConfig(cores=1, compression=CompressionConfig())),
+    snuca_config(),
+    dnuca_config(),
+    dnuca_config(policy=SearchPolicy.SS_ENERGY),
+    sa_nuca_config(),
+    base_config(),
+]
+REGISTRY_IDS = [
+    "nurapid", "nurapid-compressed", "s-nuca", "dnuca", "dnuca-ss-energy",
+    "sa-nuca", "base",
+]
+
+
+def _plain(value):
+    """Ordered, comparable form of cache state (dict order included)."""
+    if isinstance(value, dict):
+        return [(k, _plain(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, bytearray):
+        return bytes(value)
+    if hasattr(value, "state_copy"):
+        return _plain(value.state_copy())
+    return value
+
+
+#: Containers prewarm fills, across every registry user.
+_STATE_ATTRS = (
+    "_tags", "_stamps", "_dirty", "_clock", "_sets", "_lru", "_data_lru",
+    "_addrs", "_touch", "_where",
+)
+
+
+def _state(system):
+    """Every prewarm-filled container of every lower level, by name."""
+    out = []
+    for level in system.lower:
+        cache = getattr(level, "cache", level)
+        fields = {a: _plain(getattr(cache, a)) for a in _STATE_ATTRS if hasattr(cache, a)}
+        if hasattr(cache, "_stores"):
+            fields["_stores"] = [
+                (list(s._resident), _plain(s._free)) for s in cache._stores
+            ]
+            fields["_replacer"] = _plain(cache._replacer._policies)
+        if hasattr(cache, "smart_search"):
+            fields["ss"] = _plain(cache.smart_search._entries)
+        assert fields, f"no prewarm state found on {type(cache).__name__}"
+        out.append((type(cache).__name__, fields))
+    return out
+
+
+def _scribble(system):
+    """Fill, dirty and promote enough blocks to touch every prewarmed set."""
+    for level in system.lower:
+        now = 0.0
+        for i in range(4096):
+            address = i * 4096 + (i % 7) * 128
+            result = level.access(address, True, now)
+            if not result.hit:
+                level.fill(address, now, True)
+            level.access(address, False, now + 1)
+            now += 50.0
+
+
+class TestPrototypeRegistryParity:
+    @pytest.mark.parametrize("config", REGISTRY_CONFIGS, ids=REGISTRY_IDS)
+    def test_restore_matches_full_fill(self, config, monkeypatch):
+        prewarm_cache.clear()
+        monkeypatch.setenv("REPRO_PREWARM_CACHE", "0")
+        full = make_system(config)
+        assert not prewarm_cache._snapshots  # the registry stayed off
+        monkeypatch.setenv("REPRO_PREWARM_CACHE", "1")
+        make_system(config)  # stores the prototype
+        assert prewarm_cache._snapshots
+        restored = make_system(config)
+        assert _state(restored) == _state(full)
+
+        # A restored cache must not alias the prototype: traffic on it
+        # leaves the next restore pristine.
+        _scribble(restored)
+        assert _state(restored) != _state(full)
+        again = make_system(config)
+        assert _state(again) == _state(full)
+
+    @pytest.mark.parametrize("config", REGISTRY_CONFIGS, ids=REGISTRY_IDS)
+    def test_replay_bytes_identical(self, config, monkeypatch):
+        trace = generate_trace(get_benchmark("mcf"), 4000, seed=3)
+
+        def run():
+            result = run_benchmark(
+                config, "mcf", n_references=4000, seed=3,
+                warmup_fraction=0.25, trace=trace,
+            )
+            return json.dumps(run_result_to_dict(result))
+
+        prewarm_cache.clear()
+        monkeypatch.setenv("REPRO_PREWARM_CACHE", "0")
+        off = run()
+        monkeypatch.setenv("REPRO_PREWARM_CACHE", "1")
+        first = run()
+        restored = run()
+        assert off == first == restored
+        prewarm_cache.clear()
+
+    def test_dnuca_policy_variants_share_one_prototype(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PREWARM_CACHE", "1")
+        prewarm_cache.clear()
+        for policy in SearchPolicy:
+            for tail in (True, False):
+                make_system(dnuca_config(policy=policy, tail_insertion=tail, seed=5))
+        assert len(prewarm_cache._snapshots) == 1
+        prewarm_cache.clear()
