@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.common.errors import ConfigurationError
 from repro.cpu.core import CoreModel
 from repro.cpu.wattch import ProcessorEnergyModel
-from repro.sim import fastpath, vectorized
+from repro.sim import vectorized
 from repro.sim.config import SystemConfig, build_system, resolve_engine
 from repro.sim.results import RunResult, SuiteResult
 from repro.telemetry import (
@@ -90,22 +90,16 @@ def _replay(
     core: CoreModel,
     trace: Trace,
     engine: str = "legacy",
-    collect: Optional[List] = None,
 ) -> None:
     """The hot loop: advance the core and walk the hierarchy.
 
-    ``engine="fast"`` dispatches to the fused array-backed kernel
-    (:mod:`repro.sim.fastpath`); ``engine="vectorized"`` to the numpy
-    chunked kernel (:mod:`repro.sim.vectorized`).  Both are
-    bit-identical to this loop.  ``collect`` receives every
-    per-reference AccessResult (parity tests only — it slows every
-    engine down).
+    ``engine="vectorized"`` hands the trace to the numpy chunked kernel
+    (:mod:`repro.sim.vectorized`), bit-identical to this loop.  When
+    the kernel cannot take the system (an L1 fault injector, a
+    non-2-way L1, L1 constants that disagree with the core's, an
+    exposure above 1) it declines and the loop below runs instead.
     """
-    if engine == "vectorized":
-        vectorized.replay(system, core, trace, collect=collect)
-        return
-    if engine == "fast":
-        fastpath.replay(system, core, trace, collect=collect)
+    if engine == "vectorized" and vectorized.replay(system, core, trace):
         return
     if engine == "approx":
         raise ConfigurationError(
@@ -116,17 +110,10 @@ def _replay(
     advance = core.advance_instructions
     note = core.note_memory_result
     access = hierarchy.access_data
-    if collect is None:
-        for gap, address, is_write in trace.records():
-            advance(gap)
-            result = access(address, is_write, core.cycle)
-            note(address, result)
-    else:
-        for gap, address, is_write in trace.records():
-            advance(gap)
-            result = access(address, is_write, core.cycle)
-            note(address, result)
-            collect.append(result)
+    for gap, address, is_write in trace.records():
+        advance(gap)
+        result = access(address, is_write, core.cycle)
+        note(address, result)
 
 
 def _l2_stats(system: System) -> Dict[str, float]:

@@ -20,48 +20,26 @@ from repro.common.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class DecodedTrace:
-    """A trace pre-decoded into plain Python lists for the hot loop.
-
-    ``records()`` boxes every numpy scalar on the fly; the fast replay
-    engine instead decodes the whole trace once (``.tolist()`` is a
-    single C-level pass) and pre-computes the L1 block addresses and
-    set indices vectorized over the full columns, so the per-reference
-    loop does zero numpy scalar boxing and zero repeated shift/mask
-    work.
-    """
-
-    gaps: List[int]
-    addresses: List[int]
-    writes: List[bool]
-    #: Block addresses for the requested (block_bytes, n_sets) geometry.
-    block_addrs: List[int]
-    #: Set indices for the same geometry.
-    set_indices: List[int]
-
-    def __len__(self) -> int:
-        return len(self.gaps)
-
-
-@dataclass(frozen=True)
 class BatchDecodedTrace:
     """A trace decoded for the vectorized replay kernel.
 
-    Carries the same plain-list columns as :class:`DecodedTrace` (the
-    scalar tail loop wants unboxed Python ints) *plus* the numpy
-    columns the chunked pre-pass slices wholesale.  Produced once per
+    ``records()`` boxes every numpy scalar on the fly; the kernel
+    instead decodes the whole trace once (``.tolist()`` is a single
+    C-level pass) and pre-computes the L1 block addresses and set
+    frames vectorized over the full columns.  The plain-list columns
+    feed the scalar loop (unboxed Python ints); the numpy columns are
+    what the chunked pre-pass slices wholesale.  Produced once per
     (block_bytes, n_sets) geometry by :meth:`Trace.decoded_batch` and
     cached on the trace, so warmup and measured replays of the same
     split share the decode work.
     """
 
-    gaps: List[int]
     addresses: List[int]
     writes: List[bool]
+    #: Block addresses for the requested (block_bytes, n_sets) geometry.
     block_addrs: List[int]
-    set_indices: List[int]
     #: First frame of each reference's set (``2 * set_index`` for the
-    #: 2-way L1), as plain ints for the scalar tail loop.
+    #: 2-way L1), as plain ints for the scalar loop.
     frames: List[int]
     #: Numpy views for the chunk kernel: int64 gaps/block addresses,
     #: int64 doubled set indices, and the write flags as a bool array.
@@ -71,7 +49,7 @@ class BatchDecodedTrace:
     np_writes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.gaps)
+        return len(self.np_gaps)
 
 
 @dataclass(frozen=True)
@@ -109,15 +87,22 @@ class Trace:
         writes = self.writes.tolist()
         return zip(gaps, addresses, writes)
 
-    def decoded(self, block_bytes: int, n_sets: int) -> DecodedTrace:
-        """One-shot decode for the fast replay engine.
+    def decoded_batch(self, block_bytes: int, n_sets: int) -> BatchDecodedTrace:
+        """Decode for the vectorized kernel, cached per geometry.
 
         Converts the columns to Python lists and pre-computes the
-        block address and set index of every reference for a cache
+        block address and set frame of every reference for a cache
         with ``block_bytes`` blocks over ``n_sets`` sets (vectorized;
         bit-identical to calling :func:`~repro.caches.block.block_address`
-        and :func:`~repro.caches.block.set_index` per record).
+        and :func:`~repro.caches.block.set_index` per record).  The
+        result is memoized on the trace (keyed by geometry) because the
+        driver replays the same trace object once for warmup and once
+        measured.
         """
+        key = (block_bytes, n_sets)
+        cache = getattr(self, "_batch_cache", None)
+        if cache is not None and key in cache:
+            return cache[key]
         if block_bytes <= 0 or block_bytes & (block_bytes - 1):
             raise ConfigurationError(
                 f"block size must be a positive power of two, got {block_bytes}"
@@ -134,38 +119,12 @@ class Trace:
         addresses = np.asarray(self.addresses, dtype=np.int64)
         baddrs = addresses & ~np.int64(block_bytes - 1)
         shift = block_bytes.bit_length() - 1
-        indices = (addresses >> shift) & np.int64(n_sets - 1)
-        return DecodedTrace(
-            gaps=self.gaps.tolist(),
+        frames = (addresses >> shift) & np.int64(n_sets - 1)
+        frames += frames
+        batch = BatchDecodedTrace(
             addresses=self.addresses.tolist(),
             writes=self.writes.tolist(),
             block_addrs=baddrs.tolist(),
-            set_indices=indices.tolist(),
-        )
-
-    def decoded_batch(self, block_bytes: int, n_sets: int) -> BatchDecodedTrace:
-        """Decode for the vectorized kernel, cached per geometry.
-
-        Same validation and list columns as :meth:`decoded`, plus the
-        numpy columns the chunked pre-pass consumes.  The result is
-        memoized on the trace (keyed by geometry) because the driver
-        replays the same trace object once for warmup and once
-        measured.
-        """
-        key = (block_bytes, n_sets)
-        cache = getattr(self, "_batch_cache", None)
-        if cache is not None and key in cache:
-            return cache[key]
-        plain = self.decoded(block_bytes, n_sets)
-        baddrs = np.asarray(plain.block_addrs, dtype=np.int64)
-        frames = np.asarray(plain.set_indices, dtype=np.int64)
-        frames = frames + frames
-        batch = BatchDecodedTrace(
-            gaps=plain.gaps,
-            addresses=plain.addresses,
-            writes=plain.writes,
-            block_addrs=plain.block_addrs,
-            set_indices=plain.set_indices,
             frames=frames.tolist(),
             np_gaps=np.asarray(self.gaps, dtype=np.int64),
             np_block_addrs=baddrs,

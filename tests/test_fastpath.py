@@ -1,11 +1,12 @@
-"""Engine parity: the fast replay kernel against the legacy loop.
+"""Engine parity: the vectorized replay kernel against the legacy loop.
 
-The fast engine (:mod:`repro.sim.fastpath`) promises bit-identity, not
-statistical agreement: for every shipped configuration it must produce
-the same per-reference AccessResult sequence, the same result summary,
-the same telemetry report bytes, and the same fault-injection outcomes
-as the legacy loop.  These tests hold it to that across the config
-matrix and multiple seeds, including checkpointed parallel sweeps.
+The vectorized engine (:mod:`repro.sim.vectorized`) promises
+bit-identity, not statistical agreement: for every shipped
+configuration it must produce the same result summary, the same
+telemetry report bytes, the same event-trace bytes, and the same
+fault-injection outcomes as the legacy loop.  These tests hold it to
+that across the config matrix and multiple seeds, including
+checkpointed parallel sweeps.
 """
 
 import random
@@ -18,7 +19,6 @@ from repro.cpu.core import CoreModel
 from repro.faults.models import FaultPlan, HardFaultEvent
 from repro.nuca.config import SearchPolicy
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
-from repro.sim import fastpath
 from repro.sim.config import (
     EXACT_ENGINES,
     SystemConfig,
@@ -32,7 +32,7 @@ from repro.sim.config import (
 from repro.sim.driver import _replay, make_system, run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.sim.sweep import Sweep, SweepAxis
-from repro.telemetry import TelemetryConfig
+from repro.telemetry import TelemetryConfig, reset_runtime_registry, runtime_counters
 from repro.telemetry.report import merge_payloads, render_report
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.tracegen import TraceGenerator, generate_trace
@@ -100,7 +100,7 @@ class TestEngineSelection:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "legacy")
-        assert resolve_engine("fast") == "fast"
+        assert resolve_engine("vectorized") == "vectorized"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -136,9 +136,8 @@ class TestResultParity:
             )
             telem = payload.pop("telemetry")
             reports[engine] = render_report(merge_payloads([("cell", telem)]))
-        assert reports["legacy"] == reports["fast"]
         assert reports["legacy"] == reports["vectorized"]
-        assert reports["fast"].startswith("== telemetry report ==")
+        assert reports["legacy"].startswith("== telemetry report ==")
 
 
 class TestL2HeavyParity:
@@ -161,31 +160,25 @@ class TestL2HeavyParity:
             assert outputs[engine] == outputs["legacy"], engine
 
 
-class TestAccessResultSequence:
+class TestEventTraceParity:
+    """Events on: the kernel emits the L1's events inline, so the JSONL
+    trace must match the legacy loop's byte for byte."""
+
     @pytest.mark.parametrize(
         "config",
-        [base_config(), nurapid_config(), snuca_config()],
+        [nurapid_config(), base_config(), dnuca_config()],
         ids=lambda c: c.name,
     )
-    def test_per_reference_results_identical(self, config):
-        trace = trace_for("galgel", 0)
-        sequences = {}
+    def test_event_trace_byte_identical(self, config, tmp_path):
+        outputs = {}
         for engine in EXACT_ENGINES:
-            system = make_system(config)
-            profile = get_benchmark("galgel")
-            core = CoreModel(
-                params=config.core,
-                core_ipc=profile.core_ipc,
-                exposure=profile.exposure,
-                branch_fraction=profile.branch_fraction,
-                mispredict_rate=profile.mispredict_rate,
-            )
-            collected = []
-            _replay(system, core, trace, engine=engine, collect=collected)
-            sequences[engine] = collected
-        assert len(sequences["legacy"]) == len(trace)
-        assert sequences["legacy"] == sequences["fast"]
-        assert sequences["legacy"] == sequences["vectorized"]
+            telemetry = TelemetryConfig(trace_dir=str(tmp_path / engine), events=True)
+            payload = run_dict(config, "mcf", 1, engine, telemetry=telemetry)
+            path = payload["telemetry"]["trace"].pop("path")
+            with open(path, "rb") as handle:
+                outputs[engine] = (payload, handle.read())
+        assert b'"cache": "L1d", "kind": "eviction"' in outputs["legacy"][1]
+        assert outputs["vectorized"] == outputs["legacy"]
 
 
 class TestFaultParity:
@@ -210,7 +203,6 @@ class TestFaultParity:
                 outcomes[engine] = ("ok", run_dict(config, "galgel", seed, engine))
             except UncorrectableDataError as exc:
                 outcomes[engine] = ("due", str(exc))
-        assert outcomes["legacy"] == outcomes["fast"]
         assert outcomes["legacy"] == outcomes["vectorized"]
 
     def test_uncorrectable_raises_in_both_engines(self):
@@ -231,26 +223,18 @@ class TestFaultParity:
             with pytest.raises(UncorrectableDataError) as info:
                 run_dict(config, "twolf", 3, engine)
             errors[engine] = str(info.value)
-        assert errors["legacy"] == errors["fast"]
         assert errors["legacy"] == errors["vectorized"]
 
 
 class TestFallback:
-    def test_l1_fault_injector_falls_back(self, monkeypatch):
-        """An armed L1 must reroute to the generic loop, same results."""
-        calls = []
-        real_generic = fastpath.replay_generic
-
-        def counting(system, core, trace, collect=None):
-            calls.append("generic")
-            return real_generic(system, core, trace, collect)
-
-        monkeypatch.setattr(fastpath, "replay_generic", counting)
+    def test_l1_fault_injector_falls_back(self):
+        """An armed L1 makes the kernel decline: one fallback, and the
+        legacy loop's results."""
         config = base_config()
         trace = trace_for("twolf", 0)
         profile = get_benchmark("twolf")
 
-        def run(arm):
+        def run(engine, arm):
             system = make_system(config)
             if arm:
                 system.l1d.attach_faults(FaultPlan(transient_per_access=0.0))
@@ -261,13 +245,16 @@ class TestFallback:
                 branch_fraction=profile.branch_fraction,
                 mispredict_rate=profile.mispredict_rate,
             )
-            fastpath.replay(system, core, trace)
-            return core.cycle, core.instructions, system.l1d.hits
+            reset_runtime_registry()
+            _replay(system, core, trace, engine=engine)
+            fallbacks = runtime_counters().get("vectorized.fallbacks", 0)
+            return (core.cycle, core.instructions, system.l1d.hits), fallbacks
 
-        armed = run(arm=True)
-        assert calls == ["generic"]
-        fused = run(arm=False)
-        assert calls == ["generic"]  # the clean system took the fused loop
+        armed, fallbacks = run("vectorized", arm=True)
+        assert fallbacks == 1
+        assert armed == run("legacy", arm=True)[0]
+        fused, fallbacks = run("vectorized", arm=False)
+        assert fallbacks == 0  # the clean system took the kernel
         # A zero-rate plan is behaviourally inert: both paths agree.
         assert armed == fused
 
@@ -293,10 +280,11 @@ class TestSweepParity:
     ):
         path = str(tmp_path / "ckpt.json")
         legacy = self.sweep_results("legacy", monkeypatch)
-        fast = self.sweep_results(
-            "fast", monkeypatch, jobs=2, checkpoint_path=path, checkpoint_every=1
+        vectorized = self.sweep_results(
+            "vectorized", monkeypatch, jobs=2, checkpoint_path=path,
+            checkpoint_every=1,
         )
-        assert legacy == fast
+        assert legacy == vectorized
         # Resume from the completed checkpoint: cells load, nothing
         # re-runs, results still match.
         def boom(*a, **kw):
@@ -304,19 +292,19 @@ class TestSweepParity:
 
         monkeypatch.setattr("repro.sim.sweep.run_benchmark", boom)
         resumed = self.sweep_results(
-            "fast", monkeypatch, jobs=2, checkpoint_path=path
+            "vectorized", monkeypatch, jobs=2, checkpoint_path=path
         )
         assert resumed == legacy
 
 
 class TestRandomizedVectorizedParity:
-    """Property-style: the vectorized probe equals the scalar loop.
+    """Property-style: the vectorized kernel equals the legacy loop.
 
     Randomized traces (seeded, so reproducible) exercise the L1
     hit/miss/dirty/LRU state machine under varying set-conflict
     pressure, with and without lower-level prewarm; every sample must
-    replay bit-identically under the scalar fast engine and the
-    chunked vectorized kernel.
+    replay bit-identically under the legacy loop and the chunked
+    vectorized kernel.
     """
 
     CASE_COUNT = 8
@@ -345,7 +333,7 @@ class TestRandomizedVectorizedParity:
         )
         trace = generator.generate(case["refs"])
         payloads = {}
-        for engine in ("fast", "vectorized"):
+        for engine in EXACT_ENGINES:
             result = run_benchmark(
                 replace(case["config"], engine=engine),
                 case["benchmark"],
@@ -356,4 +344,4 @@ class TestRandomizedVectorizedParity:
                 prewarm=case["prewarm"],
             )
             payloads[engine] = run_result_to_dict(result)
-        assert payloads["fast"] == payloads["vectorized"], case
+        assert payloads["legacy"] == payloads["vectorized"], case

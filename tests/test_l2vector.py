@@ -1,15 +1,14 @@
-"""L2/NuRAPID tier of the vectorized kernel: parity and liveness.
+"""The vectorized kernel over NuRAPID L2s: parity and liveness.
 
-The vectorized engine's third tier bulk-resolves references the L1
-pre-pass proved to miss when they are provable NuRAPID fast-d-group
-(dg0) read hits.  Like every exact engine it promises bit-identity,
-not statistical agreement, so the randomized property suite here
-compares full ``run_result_to_dict`` payloads — and telemetry report
-bytes — against ``engine=fast`` across benchmarks, seeds, set-conflict
+The vectorized engine promises bit-identity with the legacy loop, not
+statistical agreement, so the randomized property suite here compares
+full ``run_result_to_dict`` payloads — and telemetry report bytes —
+against ``engine=legacy`` across benchmarks, seeds, set-conflict
 pressure, prewarm, fault injection, and compressed-NuRAPID variants.
-The liveness tests pin the tier's runtime counters, because a
-silently-disabled fast path would pass every parity test while
-delivering none of the speedup.
+The liveness tests pin the kernel's runtime counters, because a
+silently-disabled vector tier (or a kernel that keeps declining
+telemetry runs) would pass every parity test while delivering none of
+the speedup.
 """
 
 import random
@@ -20,7 +19,7 @@ import pytest
 from repro.cmp.config import CmpConfig, CompressionConfig
 from repro.faults.models import FaultPlan
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
-from repro.sim.config import nurapid_config, snuca_config
+from repro.sim.config import EXACT_ENGINES, nurapid_config
 from repro.sim.driver import run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig, reset_runtime_registry, runtime_counters
@@ -64,12 +63,11 @@ def run_dict(config, benchmark, refs, seed, conflict, prewarm, engine,
 
 
 class TestRandomizedL2Parity:
-    """Property-style: the L2 tier equals the scalar fast engine.
+    """Property-style: the kernel equals the legacy loop on NuRAPID.
 
-    Each sampled case draws the full axis set the tier interacts with.
-    Fault injection disarms the tier (it must fall back to the generic
-    walk, not diverge); compression keeps it armed with reshaped
-    d-groups; the two are mutually exclusive by config validation.
+    Each sampled case draws NuRAPID variants, L2 fault injection and
+    compressed d-groups (the last two are mutually exclusive by config
+    validation) on top of the trace axes.
     """
 
     CASE_COUNT = 10
@@ -120,9 +118,9 @@ class TestRandomizedL2Parity:
                 case["prewarm"],
                 engine,
             )
-            for engine in ("fast", "vectorized")
+            for engine in EXACT_ENGINES
         }
-        assert payloads["fast"] == payloads["vectorized"], case
+        assert payloads["legacy"] == payloads["vectorized"], case
 
     @pytest.mark.parametrize(
         "config",
@@ -131,37 +129,29 @@ class TestRandomizedL2Parity:
     )
     def test_telemetry_report_byte_identical(self, config):
         reports = {}
-        for engine in ("fast", "vectorized"):
+        for engine in EXACT_ENGINES:
             payload = run_dict(
                 config, "galgel", 6000, 1, 1, True, engine,
                 telemetry=TelemetryConfig(),
             )
             telem = payload.pop("telemetry")
             reports[engine] = render_report(merge_payloads([("cell", telem)]))
-        assert reports["fast"] == reports["vectorized"]
-        assert reports["fast"].startswith("== telemetry report ==")
+        assert reports["legacy"] == reports["vectorized"]
+        assert reports["legacy"].startswith("== telemetry report ==")
 
 
-class TestL2TierLiveness:
-    def test_counters_fire_on_eligible_config(self):
+class TestKernelLiveness:
+    def test_vector_tier_fires_on_eligible_config(self):
         run_dict(nurapid_config(), "galgel", 8000, 3, 1, True, "vectorized")
         counters = runtime_counters()
-        assert counters.get("vectorized.l2_refs_vector", 0) > 0
-        assert counters.get("vectorized.l2_runs_applied", 0) > 0
+        assert counters.get("vectorized.refs_vector", 0) > 0
+        assert counters.get("vectorized.runs_applied", 0) > 0
 
-    def test_tier_fires_under_compression(self):
-        run_dict(compressed_config(), "galgel", 8000, 3, 1, True, "vectorized")
-        assert runtime_counters().get("vectorized.l2_refs_vector", 0) > 0
-
-    def test_tier_disarmed_by_fault_injection(self):
-        config = nurapid_config(
-            faults=FaultPlan(transient_per_access=1e-4, seed=5)
+    def test_telemetry_runs_stay_in_kernel(self):
+        run_dict(
+            nurapid_config(), "galgel", 8000, 3, 1, True, "vectorized",
+            telemetry=TelemetryConfig(),
         )
-        run_dict(config, "galgel", 8000, 3, 1, True, "vectorized")
-        # An armed injector makes dg0 hits unprovable in bulk; the
-        # kernel must not even try (the generic walk handles them).
-        assert runtime_counters().get("vectorized.l2_refs_vector", 0) == 0
-
-    def test_snuca_not_eligible(self):
-        run_dict(snuca_config(), "galgel", 8000, 3, 1, True, "vectorized")
-        assert runtime_counters().get("vectorized.l2_refs_vector", 0) == 0
+        counters = runtime_counters()
+        assert counters.get("vectorized.fallbacks", 0) == 0
+        assert counters.get("vectorized.refs", 0) == 8000

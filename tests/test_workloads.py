@@ -212,55 +212,58 @@ class TestTraceGenerator:
 
 
 class TestDecodedValidation:
-    """Trace.decoded / decoded_batch reject geometry they cannot mask."""
+    """Trace.decoded_batch rejects geometry it cannot mask."""
 
     def _trace(self, n=16):
         p = get_benchmark("art")
         return generate_trace(p, n, seed=3)
 
+    def _empty(self):
+        return Trace(
+            benchmark="empty",
+            gaps=np.zeros(0, dtype=np.int64),
+            addresses=np.zeros(0, dtype=np.int64),
+            writes=np.zeros(0, dtype=bool),
+        )
+
     def test_non_power_of_two_block_bytes(self):
         t = self._trace()
         with pytest.raises(ConfigurationError, match="power of two"):
-            t.decoded(block_bytes=48, n_sets=64)
+            t.decoded_batch(block_bytes=48, n_sets=64)
 
     def test_non_power_of_two_sets(self):
         t = self._trace()
         with pytest.raises(ConfigurationError, match="power of two"):
-            t.decoded(block_bytes=32, n_sets=12)
+            t.decoded_batch(block_bytes=32, n_sets=12)
 
     def test_non_positive_geometry(self):
         t = self._trace()
         with pytest.raises(ConfigurationError):
-            t.decoded(block_bytes=0, n_sets=64)
+            t.decoded_batch(block_bytes=0, n_sets=64)
         with pytest.raises(ConfigurationError):
-            t.decoded(block_bytes=32, n_sets=-8)
+            t.decoded_batch(block_bytes=32, n_sets=-8)
 
     def test_empty_trace(self):
-        empty = Trace(
-            benchmark="empty",
-            gaps=np.zeros(0, dtype=np.int64),
-            addresses=np.zeros(0, dtype=np.int64),
-            writes=np.zeros(0, dtype=bool),
-        )
         with pytest.raises(ConfigurationError, match="empty"):
-            empty.decoded(block_bytes=32, n_sets=64)
+            self._empty().decoded_batch(block_bytes=32, n_sets=64)
 
     def test_batch_shares_validation(self):
+        # A failed decode caches nothing: the same call fails again.
         t = self._trace()
-        with pytest.raises(ConfigurationError, match="power of two"):
-            t.decoded_batch(block_bytes=48, n_sets=64)
-        empty = Trace(
-            benchmark="empty",
-            gaps=np.zeros(0, dtype=np.int64),
-            addresses=np.zeros(0, dtype=np.int64),
-            writes=np.zeros(0, dtype=bool),
-        )
-        with pytest.raises(ConfigurationError, match="empty"):
-            empty.decoded_batch(block_bytes=32, n_sets=64)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="power of two"):
+                t.decoded_batch(block_bytes=48, n_sets=64)
+        empty = self._empty()
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="empty"):
+                empty.decoded_batch(block_bytes=32, n_sets=64)
 
     def test_valid_geometry_decodes(self):
         t = self._trace()
-        d = t.decoded(block_bytes=32, n_sets=64)
+        d = t.decoded_batch(block_bytes=32, n_sets=64)
+        assert len(d) == len(t)
         assert len(d.block_addrs) == len(t)
         assert all(b % 32 == 0 for b in d.block_addrs)
-        assert all(0 <= s < 64 for s in d.set_indices)
+        assert all(0 <= f < 128 and f % 2 == 0 for f in d.frames)
+        assert d.np_frames.tolist() == d.frames
+        assert t.decoded_batch(block_bytes=32, n_sets=64) is d
