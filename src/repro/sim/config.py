@@ -46,7 +46,7 @@ KB = 1024
 MB = 1024 * 1024
 
 #: Replay engines.  "legacy" is the original per-object loop kept as
-#: the parity reference; "vectorized" the fused, numpy-chunked kernel
+#: the parity reference; "vectorized" the miss-driven kernel
 #: (:mod:`repro.sim.vectorized`).  Those two are bit-identical.
 #: "approx" (:mod:`repro.sim.approx`) is the opt-in analytical
 #: fast-forward tier: same result schema, tolerance-gated accuracy

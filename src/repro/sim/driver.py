@@ -93,7 +93,7 @@ def _replay(
 ) -> None:
     """The hot loop: advance the core and walk the hierarchy.
 
-    ``engine="vectorized"`` hands the trace to the numpy chunked kernel
+    ``engine="vectorized"`` hands the trace to the miss-driven kernel
     (:mod:`repro.sim.vectorized`), bit-identical to this loop.  When
     the kernel cannot take the system (an L1 fault injector, a
     non-2-way L1, L1 constants that disagree with the core's, an

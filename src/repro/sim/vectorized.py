@@ -1,52 +1,49 @@
-"""Vectorized chunked replay kernel (``engine="vectorized"``).
+"""Miss-driven replay kernel (``engine="vectorized"``).
 
 The one fast exact kernel.  The legacy loop
 (:func:`repro.sim.driver._replay`) pays Python call overhead five times
 per reference — ``advance_instructions``, ``hierarchy.access_data``,
 ``l1.access``, ``AccessResult(...)``, ``note_memory_result`` — even
-though most references are pipelined L1 hits.  This kernel works over
-a pre-decoded trace (:meth:`Trace.decoded_batch`) in two tiers:
+though most references are pipelined L1 hits.  This kernel runs Python
+only on L1 misses, in two steps over a pre-decoded trace
+(:meth:`Trace.decoded_batch`):
 
-1. **Vector tier.**  The trace is swept in windows of :data:`WINDOW`
-   references.  For each window the 2-way L1 probe is evaluated
-   wholesale against a numpy mirror of the flat tag array (two gathers
-   + two compares), yielding a predicted hit mask.  Runs of at least
-   :data:`MIN_RUN` consecutive predicted hits are re-verified against
-   the *current* tags (fills since the window prediction may have
-   evicted a predicted frame) and, when still valid, resolved in one
-   numpy pass: the cycle and branch-penalty accumulations are strict
-   left folds (``np.add.accumulate``), which replay the exact float-op
-   sequence of the scalar loop; instruction and read/write counts come
-   from precomputed prefix sums (integer, exact); dirty bits are set by
-   one fancy assignment into a writable view of the L1's dirty
-   bytearray; LRU stamps are committed in reference order so recency
-   is untouched.
-2. **Scalar tier.**  Everything else — short runs, predicted misses,
-   invalidated runs — goes through one fused loop that inlines the
-   core advance, the 2-way L1 probe and fill, and the stall/MSHR
-   accounting, dropping into the lower levels' ``access``/``fill``
-   methods only on L1 misses.  Per-reference ``gap/ipc`` and
-   branch-penalty terms are precomputed vectorized (elementwise
-   float64 ops are bit-identical to the scalar expressions).
+1. **L1 pass** (:func:`l1_pass`, numpy, once per call).  The 2-way LRU
+   L1's hits, misses, victims and dirty writebacks depend only on the
+   address stream, never on timing, so they are computed up front:
+   the miss positions, each miss's fill frame, victim block and victim
+   dirty bit, and the L1's final tags, dirty bits and stamps.
+2. **Main loop over misses.**  Each stretch of hits up to and including
+   the next miss is folded into ``cycle`` with the legacy float-op
+   order (``np.add.accumulate`` for stretches of at least
+   :data:`_FOLD_MIN` references, a plain ``for`` below that); then the
+   miss runs the inlined miss path: lower-level ``access``/``fill``,
+   the L1 writeback, the miss-latency histogram and the MSHR
+   accounting.  ``branch_penalty_cycles`` is independent of misses, so
+   it is one fold over the whole trace.
 
 Telemetry runs stay in the kernel: with an L1 telemetry client
 attached, it makes the calls ``SetAssociativeCache`` would make, in
-the same order — ``on_access`` per reference (for a verified vector
-run, once per reference after the run's fold), and the ``eviction`` /
-``writeback`` / ``placement`` events of the inline fill — and each
-inlined MSHR allocation records the occupancy histogram.
+the same order — ``on_access`` for each hit of a stretch, emitted
+before the next miss's lower-level traffic, ``on_access`` for the miss
+itself, and the ``eviction`` / ``writeback`` / ``placement`` events of
+the fill — and each inlined MSHR allocation records the occupancy
+histogram.
 
 Bit-identity contract
 ---------------------
 
 The kernel replays the *exact* float-operation sequence of the legacy
-loop (no reassociation, no pre-multiplied constants), drives lower
-levels through the same ``access``/``fill`` calls at the same ``now``
-values, and batches only integer counters, flushed in ``finally`` so a
-mid-replay :class:`~repro.faults.models.UncorrectableDataError` leaves
-legacy-identical state.  ``python -m repro.bench --engine-parity`` and
-``tests/test_fastpath.py`` hold it to byte-identical summaries,
-telemetry reports and event traces.
+loop (no reassociation, no pre-multiplied constants, never the
+builtin ``sum()``, which compensates float error on CPython 3.12),
+drives lower levels through the same ``access``/``fill`` calls at the
+same ``now`` values, and batches only integer counters, flushed in
+``finally``.  A mid-replay
+:class:`~repro.faults.models.UncorrectableDataError` from a lower level
+leaves legacy-identical state: the L1 is set to the result of the pass
+over the prefix already applied.  ``python -m repro.bench
+--engine-parity`` and ``tests/test_fastpath.py`` hold it to
+byte-identical summaries, telemetry reports and event traces.
 
 When the kernel cannot take the system (an L1 fault injector, a
 non-2-way L1, L1 constants that disagree with the core's, or an
@@ -54,33 +51,162 @@ exposure above 1, which breaks the inlined MSHR allocation's
 precondition) :func:`replay` returns False untouched and the driver
 runs its legacy loop instead; ``vectorized.fallbacks`` counts those.
 
-Kernel statistics (windows swept, refs per tier, invalidated runs,
-wall-clock per stage) land in the process-global runtime registry
-(:mod:`repro.telemetry.runtime`) under ``vectorized.*`` — they describe
-execution strategy, not the simulated machine, so they stay out of run
-payloads.
+Kernel statistics (references, hits folded, misses walked, wall-clock
+of the whole call and of the L1 pass) land in the process-global
+runtime registry (:mod:`repro.telemetry.runtime`) under
+``vectorized.*`` — they describe execution strategy, not the simulated
+machine, so they stay out of run payloads.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.caches.mshr import MSHREntry
 from repro.telemetry.runtime import runtime_registry
 
-#: Prediction window: references per numpy probe pre-pass.
-WINDOW = 4096
-#: Minimum predicted-hit run length worth a vector application; below
-#: this the per-run numpy call overhead exceeds the scalar loop cost.
-MIN_RUN = 48
+#: Hit stretches at least this long fold with ``np.add.accumulate``;
+#: shorter ones are cheaper as a Python loop.
+_FOLD_MIN = 64
+
+
+class L1Pass(NamedTuple):
+    """What one reference stream does to a 2-way LRU L1.
+
+    Per miss, in stream order: ``miss_pos`` (index into the stream),
+    ``fill_frame``, ``victim`` (block address, -1 for a free frame)
+    and ``victim_dirty``.  ``tags``/``dirty``/``stamps`` are the L1's
+    flat state after the stream, ``clock`` its clock.
+    """
+
+    miss_pos: np.ndarray
+    fill_frame: np.ndarray
+    victim: np.ndarray
+    victim_dirty: np.ndarray
+    tags: np.ndarray
+    dirty: np.ndarray
+    stamps: np.ndarray
+    clock: int
+
+
+def l1_pass(frames, blocks, writes, tags, dirty, stamps, clock: int) -> L1Pass:
+    """Run a reference stream through a 2-way LRU L1, without a loop.
+
+    ``frames`` is each reference's first frame (``2 * set_index``),
+    ``blocks`` its block address and ``writes`` its write flag;
+    ``tags``/``dirty``/``stamps``/``clock`` are the L1's starting state
+    (:class:`~repro.caches.simple.SetAssociativeCache`'s flat layout).
+
+    The set's current residents are prepended, LRU first, as synthetic
+    references; the stream is then stably sorted by set and
+    consecutive repeats collapse into their first reference (a repeat
+    is an MRU hit).  In that collapsed sequence a set holds exactly
+    its previous two references, so a reference hits iff it equals the
+    one two places back, and a miss evicts exactly that block.  The
+    evicted block sits in the miss's way, so ways alternate along each
+    set's sequence, starting from the LRU resident's way (way 0 for an
+    empty set: the first free way).  Every reference advances the
+    clock once (a hit's touch or a miss's fill), so a frame's final
+    stamp is ``clock`` plus the stream position of its last reference.
+    """
+    n = len(blocks)
+    tags = np.asarray(tags, dtype=np.int64)
+    dirty = np.asarray(dirty, dtype=bool)
+    stamps = np.asarray(stamps, dtype=np.int64)
+    n_frames = len(tags)
+
+    # Synthetic references for the residents, LRU first: way 1 leads
+    # when strictly older (ties go to way 0, as SetAssociativeCache.fill
+    # picks its victim).  Invalid frames drop out.
+    lru1 = stamps[1::2] < stamps[0::2]
+    first = np.arange(0, n_frames, 2, dtype=np.int64) + lru1
+    syn = np.stack([first, first ^ 1], axis=1).ravel()
+    syn = syn[tags[syn] >= 0]
+    n_syn = len(syn)
+
+    # Keys carry the way bit for synthetic references (the chain's
+    # first way) and are 2 * set for real ones.
+    key = np.concatenate([syn, frames])
+    blk = np.concatenate([tags[syn], blocks])
+    wr = np.concatenate([dirty[syn], writes])
+    sort_key = (key >> 1).astype(np.uint16 if n_frames <= 65536 else np.int64)
+    order = np.argsort(sort_key, kind="stable")
+    s = sort_key[order]
+    b = blk[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.logical_or(b[1:] != b[:-1], s[1:] != s[:-1], out=new[1:])
+    rep = np.flatnonzero(new)
+    m = len(rep)
+    cb = b[rep]
+    cs = s[rep]
+    cw = np.logical_or.reduceat(wr[order], rep) if m else np.zeros(0, dtype=bool)
+
+    # Position within the set's collapsed sequence, and the set's first
+    # way, give each collapsed reference its frame.
+    idx = np.arange(m)
+    set_start = np.empty(m, dtype=bool)
+    set_start[:1] = True
+    np.not_equal(cs[1:], cs[:-1], out=set_start[1:])
+    head = np.maximum.accumulate(np.where(set_start, idx, 0))
+    k = idx - head
+    cframe = (key[order[rep]] & ~1) | ((key[order[rep[head]]] ^ k) & 1)
+
+    # A hit continues its frame's residency; anything else (a miss, a
+    # resident's synthetic reference) starts one.
+    hit = np.zeros(m, dtype=bool)
+    hit[2:] = (k[2:] >= 2) & (cb[2:] == cb[:-2])
+    # Dirty so far in each residency: a frame's collapsed references
+    # are every other entry of its set's run, so one fold per parity.
+    ds = np.empty(m, dtype=bool)
+    for q in (0, 1):
+        w_q = cw[q::2].astype(np.int64)
+        cum = np.cumsum(w_q)
+        j = np.arange(len(w_q))
+        start = np.maximum.accumulate(np.where(hit[q::2], 0, j))
+        ds[q::2] = cum - cum[start] + w_q[start] > 0
+
+    # Misses in stream order.
+    miss = np.flatnonzero(~hit & (order[rep] >= n_syn))
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[order[rep[miss]] - n_syn] = miss
+    miss_pos = np.flatnonzero(slot >= 0)
+    miss = slot[miss_pos]
+    has_victim = k[miss] >= 2
+    prev = np.where(has_victim, miss - 2, 0)
+    victim = np.where(has_victim, cb[prev], -1)
+    victim_dirty = has_victim & ds[prev]
+
+    # Final state: each frame's last collapsed reference.
+    out_tags = tags.copy()
+    out_dirty = dirty.copy()
+    out_stamps = stamps.copy()
+    ends = np.flatnonzero(np.append(set_start[1:], True))
+    last = np.concatenate([ends, (ends - 1)[k[ends] >= 1]])
+    lf = cframe[last]
+    out_tags[lf] = cb[last]
+    out_dirty[lf] = ds[last]
+    rep_end = np.append(rep[1:], len(order))
+    last_ref = order[rep_end[last] - 1] - n_syn
+    real = last_ref >= 0
+    out_stamps[lf[real]] = clock + last_ref[real]
+    return L1Pass(
+        miss_pos=miss_pos,
+        fill_frame=cframe[miss],
+        victim=victim,
+        victim_dirty=victim_dirty,
+        tags=out_tags,
+        dirty=out_dirty,
+        stamps=out_stamps,
+        clock=clock + n,
+    )
 
 
 def replay(system, core, trace) -> bool:
-    """Replay ``trace``, resolving long L1-hit runs in numpy passes.
+    """Replay ``trace``, running Python only on L1 misses.
 
     Returns False, without touching any state, when the kernel cannot
     take the system; the caller then replays with the legacy loop.
@@ -97,22 +223,22 @@ def replay(system, core, trace) -> bool:
         runtime_registry().add("vectorized.fallbacks")
         return False
 
+    wall_start = perf_counter()
     hierarchy = system.hierarchy
     memory = system.memory
     lower = hierarchy.lower
     decoded = trace.decoded_batch(l1.spec.block_bytes, l1.n_sets)
     n_total = len(decoded)
+    frames_np = decoded.np_frames
+    baddrs_np = decoded.np_block_addrs
+    writes_np = decoded.np_writes
+    g_np = decoded.np_gaps
 
-    # L1 state.  The lists/bytearray are shared in place; tags_np is a
-    # kernel-local mirror used only for hit prediction, updated on
-    # every fill.  dirty_view shares the bytearray's memory, so fancy
-    # assignments land directly in the cache's state.
-    tags = l1._tags
-    dirty = l1._dirty
-    stamps = l1._stamps
-    clock = l1._clock
-    tags_np = np.array(tags, dtype=np.int64)
-    dirty_view = np.frombuffer(dirty, dtype=np.uint8)
+    l1_start = (l1._tags, l1._dirty, l1._stamps, l1._clock)
+    l1_state = l1_pass(frames_np, baddrs_np, writes_np, *l1_start)
+    miss_pos_np = l1_state.miss_pos
+    l1_pass_wall = perf_counter() - wall_start
+
     l1_lat = l1.spec.latency_cycles
     l1_lat_f = float(l1_lat)
     l1_name = l1.name
@@ -142,33 +268,32 @@ def replay(system, core, trace) -> bool:
     INF = float("inf")
     n_primary = n_merged = n_full = 0
     cycle = core.cycle
-    instructions = core.instructions
     memory_accesses = core.memory_accesses
-    bp = core.branch_penalty_cycles
     stall = core.stall_cycles
     mshr_stall = core.mshr_stall_cycles
 
     # Per-reference float terms, precomputed vectorized.  Elementwise
     # float64 ops equal the scalar expressions bit for bit (gaps are
     # small ints, exactly representable): t = gap/ipc and
-    # p = ((gap*bf)*mr)*mp in the same association order.
-    g_np = decoded.np_gaps
-    t_np = g_np / ipc
+    # p = ((gap*bf)*mr)*mp in the same association order.  The cycle
+    # fold runs over the interleaved [t0, p0, t1, p1, ...].
     p_np = ((g_np * bf) * mr) * mp
-    t_list = t_np.tolist()
-    p_list = p_np.tolist()
-    # Interleaved [t0, p0, t1, p1, ...] for the cycle fold, and prefix
-    # sums for O(1) per-run instruction/write counts (int64, exact).
     z_np = np.empty(2 * n_total, dtype=np.float64)
-    z_np[0::2] = t_np
+    np.divide(g_np, ipc, out=z_np[0::2])
     z_np[1::2] = p_np
-    cum_gaps = np.cumsum(g_np)
-    cum_writes = np.cumsum(decoded.np_writes.astype(np.int64))
-    scratch = np.empty(2 * WINDOW + 1, dtype=np.float64)
 
-    frames_np = decoded.np_frames
-    baddrs_np = decoded.np_block_addrs
-    writes_np = decoded.np_writes
+    # Stretch ends: each miss, then the trace end, whose row carries
+    # no address.  The scratch buffer fits the longest stretch's fold.
+    ends = np.append(miss_pos_np + 1, n_total)
+    longest = int(np.diff(ends, prepend=0).max())
+    scratch = np.empty(2 * longest + 1, dtype=np.float64)
+    miss_rows = zip(
+        ends.tolist(),
+        decoded.np_addresses[miss_pos_np].tolist() + [None],
+        baddrs_np[miss_pos_np].tolist() + [-1],
+        l1_state.victim.tolist() + [-1],
+        l1_state.victim_dirty.tolist() + [False],
+    )
 
     # Miss-path plumbing.
     stats = hierarchy.stats
@@ -179,11 +304,14 @@ def replay(system, core, trace) -> bool:
     n_lower = len(lower)
 
     # Batched integer counters (exact; flushed in finally).  gi is the
-    # count of processed references; refs, instructions, reads/writes
-    # and hits all derive from it at flush time via the prefix sums
-    # (each is counted before the lower-level access that can raise,
-    # so the interrupted-ref accounting matches the legacy loop).
+    # count of processed references and l1_done the count whose L1
+    # effect (hit touch or fill) is applied; refs, instructions,
+    # reads/writes and hits all derive from gi at flush time (each is
+    # counted before the lower-level access that can raise, so the
+    # interrupted-ref accounting matches the legacy loop).
     gi = 0
+    l1_done = 0
+    completed = False
     n_misses = 0
     n_fills = 0
     n_l1_wb = n_l1_wb_mem = 0
@@ -192,271 +320,152 @@ def replay(system, core, trace) -> bool:
     lvl_hits = [0] * n_lower
     lvl_wb = [0] * n_lower
 
-    # Kernel strategy stats (runtime registry, not run payloads).
-    n_vector = 0
-    n_runs = 0
-    n_runs_invalid = 0
-    n_windows = 0
-    probe_wall = 0.0
-    apply_wall = 0.0
-    wall_start = perf_counter()
-
-    master = zip(
-        decoded.addresses,
-        decoded.block_addrs,
-        decoded.frames,
-        decoded.writes,
-        t_list,
-        p_list,
-    )
-
     try:
-        pos = 0
-        while pos < n_total:
-            wend = min(pos + WINDOW, n_total)
-            n_windows += 1
-
-            # Window prediction: which refs would hit against the tags
-            # as they stand now.  Fills inside the window go stale,
-            # which is why runs re-verify at apply time.
-            t_probe = perf_counter()
-            fr_w = frames_np[pos:wend]
-            ba_w = baddrs_np[pos:wend]
-            pred = tags_np[fr_w] == ba_w
-            np.logical_or(pred, tags_np[fr_w + 1] == ba_w, out=pred)
-            probe_wall += perf_counter() - t_probe
-
-            runs: List[Tuple[int, int]] = []
-            if bool(pred.any()):
-                changes = np.flatnonzero(pred[1:] != pred[:-1])
-                bounds = [0, *(changes + 1).tolist(), wend - pos]
-                val = bool(pred[0])
-                for m in range(len(bounds) - 1):
-                    if val and bounds[m + 1] - bounds[m] >= MIN_RUN:
-                        runs.append((pos + bounds[m], pos + bounds[m + 1]))
-                    val = not val
-            runs.append((wend, wend))  # sentinel: flush the scalar tail
-
-            cursor = pos
-            for rs, re in runs:
-                # --- scalar span [cursor, rs) -----------------------
-                for address, baddr, fr, is_write, t, p in islice(
-                    master, rs - cursor
-                ):
-                    gi += 1
-                    cycle += t
-                    bp += p
-                    cycle += p
-                    if tags[fr] == baddr:
-                        stamps[fr] = clock
-                        clock += 1
-                        if is_write:
-                            dirty[fr] = 1
-                        if l1_telem is not None:
-                            on_access(baddr, True, None, l1_lat_f)
-                        continue
-                    f1 = fr + 1
-                    if tags[f1] == baddr:
-                        stamps[f1] = clock
-                        clock += 1
-                        if is_write:
-                            dirty[f1] = 1
-                        if l1_telem is not None:
-                            on_access(baddr, True, None, l1_lat_f)
-                        continue
-
-                    # L1 miss: CacheHierarchy._access, inlined.
-                    n_misses += 1
-                    if l1_telem is not None:
-                        on_access(baddr, False, None, l1_lat_f)
-                    total_latency = l1_lat
-                    level_name = "memory"
-                    missed: Optional[List[int]] = None
-                    supplied = False
-                    i = 0
-                    for level in lower:
-                        r = level.access(
-                            address, is_write=False, now=cycle + total_latency
-                        )
-                        total_latency += r.latency
-                        lvl_acc[i] += 1
-                        if r.hit:
-                            level_name = r.level or lvl_names[i]
-                            lvl_hits[i] += 1
-                            supplied = True
-                            break
-                        if missed is None:
-                            missed = [i]
-                        else:
-                            missed.append(i)
-                        i += 1
-                    if not supplied:
-                        n_mem_reads += 1
-                        total_latency += mem_lat
-
-                    fill_time = cycle + total_latency
-                    if missed is not None:
-                        for j in reversed(missed):
-                            dirty_out = lower[j].fill(
-                                address, now=fill_time, dirty=False
-                            )
-                            if dirty_out:
-                                n_mem_writes += dirty_out
-                                lvl_wb[j] += dirty_out
-
-                    # Inline 2-way L1 fill (the probe above just
-                    # missed and nothing since touched the L1, so the
-                    # block cannot already be resident).  Same victim
-                    # choice and telemetry events as
-                    # SetAssociativeCache.fill: first free way, else
-                    # the strictly-smallest stamp with the first way
-                    # winning ties.
-                    n_fills += 1
-                    vaddr = -1
-                    vdirty = 0
-                    if tags[fr] < 0:
-                        free = fr
-                    elif tags[f1] < 0:
-                        free = f1
-                    else:
-                        free = f1 if stamps[f1] < stamps[fr] else fr
-                        vaddr = tags[free]
-                        vdirty = dirty[free]
-                        if l1_telem is not None:
-                            l1_event("eviction", addr=vaddr)
-                            if vdirty:
-                                l1_event("writeback", addr=vaddr)
-                    tags[free] = baddr
-                    tags_np[free] = baddr
-                    dirty[free] = 1 if is_write else 0
-                    stamps[free] = clock
-                    clock += 1
-                    if l1_telem is not None:
-                        l1_event("placement", addr=baddr)
-                    if vdirty:
-                        # _writeback_from_l1, inlined.
-                        n_l1_wb += 1
-                        rw = first.access(vaddr, is_write=True, now=fill_time)
-                        lvl_acc[0] += 1
-                        if rw.hit:
-                            lvl_hits[0] += 1
-                        else:
-                            n_mem_writes += 1
-                            n_l1_wb_mem += 1
-                    if hist is not None:
-                        hist.record(total_latency)
-
-                    # note_memory_result, inlined (same float-op order).
-                    beyond_l1 = total_latency - l1_lat
-                    if beyond_l1 <= 0:
-                        continue
-                    if mshr_entries:
-                        if cycle >= min_fill:
-                            for a in [
-                                a
-                                for a, e in mshr_entries.items()
-                                if e.fill_at <= cycle
-                            ]:
-                                del mshr_entries[a]
-                            min_fill = INF
-                            for e in mshr_entries.values():
-                                if e.fill_at < min_fill:
-                                    min_fill = e.fill_at
-                        if len(mshr_entries) >= mshr_cap:
-                            mshr_stall += min_fill - cycle
-                            cycle = min_fill
-                            for a in [
-                                a
-                                for a, e in mshr_entries.items()
-                                if e.fill_at <= cycle
-                            ]:
-                                del mshr_entries[a]
-                            min_fill = INF
-                            for e in mshr_entries.values():
-                                if e.fill_at < min_fill:
-                                    min_fill = e.fill_at
-                            n_full += 1
-                    exp = exposure
-                    if level_name == "memory":
-                        exp *= mlp_discount
-                    exposed = beyond_l1 * exp
-                    stall += exposed
-                    cycle += exposed
-                    fill_at = cycle + beyond_l1 * (1.0 - exposure)
-                    if baddr in mshr_entries:
-                        mshr_entries[baddr].merged += 1
-                        n_merged += 1
-                    else:
-                        mshr_entries[baddr] = MSHREntry(baddr, cycle, fill_at)
-                        if fill_at < min_fill:
-                            min_fill = fill_at
-                        n_primary += 1
-                        if occ_hist is not None:
-                            occ_hist.record(len(mshr_entries))
-                cursor = rs
-                if re == rs:
-                    continue
-
-                # --- candidate run [rs, re): verify, then apply -----
-                run_n = re - rs
-                fr_r = frames_np[rs:re]
-                ba_r = baddrs_np[rs:re]
-                hit0 = tags_np[fr_r] == ba_r
-                ok = hit0 | (tags_np[fr_r + 1] == ba_r)
-                if not bool(ok.all()):
-                    # A fill since prediction evicted a predicted
-                    # frame.  cursor stays at rs, so the next scalar
-                    # span (at worst the sentinel's) replays the run.
-                    n_runs_invalid += 1
-                    continue
-
-                # Verified: every reference in the run hits, and hits
-                # do not change tags, so the whole run resolves in one
-                # vector application.
-                t_apply = perf_counter()
-                n_runs += 1
-                n_vector += run_n
-                gi += run_n
-                # Strict left folds: identical float-op sequence to
-                # cycle += t; bp += p; cycle += p per reference.
+        for end, address, baddr, vaddr, vdirty in miss_rows:
+            # --- fold the stretch [gi, end): hits, then the miss -----
+            run_n = end - gi
+            if run_n >= _FOLD_MIN:
                 m2 = 2 * run_n
                 scratch[0] = cycle
-                scratch[1 : m2 + 1] = z_np[2 * rs : 2 * re]
+                scratch[1 : m2 + 1] = z_np[2 * gi : 2 * end]
                 np.add.accumulate(scratch[: m2 + 1], out=scratch[: m2 + 1])
                 cycle = float(scratch[m2])
-                scratch[0] = bp
-                scratch[1 : run_n + 1] = p_np[rs:re]
-                np.add.accumulate(scratch[: run_n + 1], out=scratch[: run_n + 1])
-                bp = float(scratch[run_n])
-                # Matched frames; dirty bits land via the shared view.
-                mf = np.where(hit0, fr_r, fr_r + 1)
-                w_r = writes_np[rs:re]
-                if bool(w_r.any()):
-                    dirty_view[mf[w_r]] = 1
-                # LRU stamps in reference order (later refs win).
-                for c, f in enumerate(mf.tolist(), clock):
-                    stamps[f] = c
-                clock += run_n
-                if l1_telem is not None:
-                    for b in ba_r.tolist():
-                        on_access(b, True, None, l1_lat_f)
-                # Consume the run's references from the scalar stream.
-                next(islice(master, run_n, run_n), None)
-                apply_wall += perf_counter() - t_apply
-                cursor = re
-            pos = wend
+            else:
+                for z in z_np[2 * gi : 2 * end].tolist():
+                    cycle += z
+            # The trace-end stretch (no address) is hits only.
+            l1_done = end if address is None else end - 1
+            if l1_telem is not None:
+                for b in baddrs_np[gi:l1_done].tolist():
+                    on_access(b, True, None, l1_lat_f)
+            gi = end
+            if address is None:
+                break
+
+            # --- L1 miss: CacheHierarchy._access, inlined ------------
+            n_misses += 1
+            if l1_telem is not None:
+                on_access(baddr, False, None, l1_lat_f)
+            total_latency = l1_lat
+            level_name = "memory"
+            missed: Optional[List[int]] = None
+            supplied = False
+            i = 0
+            for level in lower:
+                r = level.access(address, is_write=False, now=cycle + total_latency)
+                total_latency += r.latency
+                lvl_acc[i] += 1
+                if r.hit:
+                    level_name = r.level or lvl_names[i]
+                    lvl_hits[i] += 1
+                    supplied = True
+                    break
+                if missed is None:
+                    missed = [i]
+                else:
+                    missed.append(i)
+                i += 1
+            if not supplied:
+                n_mem_reads += 1
+                total_latency += mem_lat
+
+            fill_time = cycle + total_latency
+            if missed is not None:
+                for j in reversed(missed):
+                    dirty_out = lower[j].fill(address, now=fill_time, dirty=False)
+                    if dirty_out:
+                        n_mem_writes += dirty_out
+                        lvl_wb[j] += dirty_out
+
+            # The L1 fill, precomputed by the pass: its telemetry
+            # events in SetAssociativeCache.fill's order.
+            n_fills += 1
+            l1_done = end
+            if l1_telem is not None:
+                if vaddr >= 0:
+                    l1_event("eviction", addr=vaddr)
+                    if vdirty:
+                        l1_event("writeback", addr=vaddr)
+                l1_event("placement", addr=baddr)
+            if vdirty:
+                # _writeback_from_l1, inlined.
+                n_l1_wb += 1
+                rw = first.access(vaddr, is_write=True, now=fill_time)
+                lvl_acc[0] += 1
+                if rw.hit:
+                    lvl_hits[0] += 1
+                else:
+                    n_mem_writes += 1
+                    n_l1_wb_mem += 1
+            if hist is not None:
+                hist.record(total_latency)
+
+            # note_memory_result, inlined (same float-op order).
+            beyond_l1 = total_latency - l1_lat
+            if beyond_l1 <= 0:
+                continue
+            if mshr_entries:
+                if cycle >= min_fill:
+                    for a in [a for a, e in mshr_entries.items() if e.fill_at <= cycle]:
+                        del mshr_entries[a]
+                    min_fill = INF
+                    for e in mshr_entries.values():
+                        if e.fill_at < min_fill:
+                            min_fill = e.fill_at
+                if len(mshr_entries) >= mshr_cap:
+                    mshr_stall += min_fill - cycle
+                    cycle = min_fill
+                    for a in [a for a, e in mshr_entries.items() if e.fill_at <= cycle]:
+                        del mshr_entries[a]
+                    min_fill = INF
+                    for e in mshr_entries.values():
+                        if e.fill_at < min_fill:
+                            min_fill = e.fill_at
+                    n_full += 1
+            exp = exposure
+            if level_name == "memory":
+                exp *= mlp_discount
+            exposed = beyond_l1 * exp
+            stall += exposed
+            cycle += exposed
+            fill_at = cycle + beyond_l1 * (1.0 - exposure)
+            if baddr in mshr_entries:
+                mshr_entries[baddr].merged += 1
+                n_merged += 1
+            else:
+                mshr_entries[baddr] = MSHREntry(baddr, cycle, fill_at)
+                if fill_at < min_fill:
+                    min_fill = fill_at
+                n_primary += 1
+                if occ_hist is not None:
+                    occ_hist.record(len(mshr_entries))
+        completed = True
     finally:
         # Commit batched state.  Runs on an UncorrectableDataError
-        # from a lower level too, leaving legacy-identical counters.
+        # from a lower level too, leaving legacy-identical state: the
+        # L1 then takes the pass over the prefix it had applied.
+        if l1_done < n_total:
+            l1_state = l1_pass(
+                frames_np[:l1_done],
+                baddrs_np[:l1_done],
+                writes_np[:l1_done],
+                *l1_start,
+            )
+        l1._tags[:] = l1_state.tags.tolist()
+        l1._dirty[:] = l1_state.dirty.astype(np.uint8).tobytes()
+        l1._stamps[:] = l1_state.stamps.tolist()
+        l1._clock = l1_state.clock
         n_refs = gi
-        if gi:
-            instructions += int(cum_gaps[gi - 1])
-            n_writes = int(cum_writes[gi - 1])
-        else:
-            n_writes = 0
+        # An interrupted miss never reached note_memory_result.
+        n_noted = n_refs if completed else n_refs - 1
+        n_writes = int(np.count_nonzero(writes_np[:gi]))
         n_reads = gi - n_writes
         n_hits = gi - n_misses
-        l1._clock = clock
+        # Branch penalties do not depend on misses: one left fold.
+        bp_fold = np.empty(gi + 1, dtype=np.float64)
+        bp_fold[0] = core.branch_penalty_cycles
+        bp_fold[1:] = p_np[:gi]
+        np.add.accumulate(bp_fold, out=bp_fold)
         l1.hits += n_hits
         l1.misses += n_misses
         l1.writebacks += n_l1_wb
@@ -466,9 +475,9 @@ def replay(system, core, trace) -> bool:
             l1_energy.charge(f"{l1_name}.write", n_writes + n_fills)
         core.commit_batch(
             cycle=cycle,
-            instructions=instructions,
-            memory_accesses=memory_accesses + n_refs,
-            branch_penalty_cycles=bp,
+            instructions=core.instructions + int(g_np[:gi].sum()),
+            memory_accesses=memory_accesses + n_noted,
+            branch_penalty_cycles=float(bp_fold[gi]),
             stall_cycles=stall,
             mshr_stall_cycles=mshr_stall,
         )
@@ -496,14 +505,9 @@ def replay(system, core, trace) -> bool:
         mshr.merged_misses += n_merged
         mshr.full_stalls += n_full
         reg = runtime_registry()
-        reg.add("vectorized.windows", n_windows)
         reg.add("vectorized.refs", n_refs)
-        reg.add("vectorized.refs_vector", n_vector)
-        reg.add("vectorized.refs_scalar", n_refs - n_vector)
-        reg.add("vectorized.runs_applied", n_runs)
-        if n_runs_invalid:
-            reg.add("vectorized.runs_invalidated", n_runs_invalid)
+        reg.add("vectorized.refs_vector", n_hits)
+        reg.add("vectorized.refs_scalar", n_misses)
         reg.add("vectorized.wall_s", perf_counter() - wall_start)
-        reg.add("vectorized.probe_wall_s", probe_wall)
-        reg.add("vectorized.l1_apply_wall_s", apply_wall)
+        reg.add("vectorized.l1_pass_wall_s", l1_pass_wall)
     return True

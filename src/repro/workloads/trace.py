@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -23,26 +23,18 @@ from repro.common.errors import ConfigurationError
 class BatchDecodedTrace:
     """A trace decoded for the vectorized replay kernel.
 
-    ``records()`` boxes every numpy scalar on the fly; the kernel
-    instead decodes the whole trace once (``.tolist()`` is a single
-    C-level pass) and pre-computes the L1 block addresses and set
-    frames vectorized over the full columns.  The plain-list columns
-    feed the scalar loop (unboxed Python ints); the numpy columns are
-    what the chunked pre-pass slices wholesale.  Produced once per
-    (block_bytes, n_sets) geometry by :meth:`Trace.decoded_batch` and
+    Numpy columns for one (block_bytes, n_sets) L1 geometry: the L1
+    pass sorts and collapses them wholesale, and the kernel gathers
+    addresses and block addresses at the miss positions only.
+    Produced once per geometry by :meth:`Trace.decoded_batch` and
     cached on the trace, so warmup and measured replays of the same
     split share the decode work.
     """
 
-    addresses: List[int]
-    writes: List[bool]
-    #: Block addresses for the requested (block_bytes, n_sets) geometry.
-    block_addrs: List[int]
-    #: First frame of each reference's set (``2 * set_index`` for the
-    #: 2-way L1), as plain ints for the scalar loop.
-    frames: List[int]
-    #: Numpy views for the chunk kernel: int64 gaps/block addresses,
-    #: int64 doubled set indices, and the write flags as a bool array.
+    #: int64 addresses, gaps and block addresses; the first frame of
+    #: each reference's set (``2 * set_index`` for the 2-way L1); the
+    #: write flags as a bool array.
+    np_addresses: np.ndarray
     np_gaps: np.ndarray
     np_block_addrs: np.ndarray
     np_frames: np.ndarray
@@ -90,12 +82,12 @@ class Trace:
     def decoded_batch(self, block_bytes: int, n_sets: int) -> BatchDecodedTrace:
         """Decode for the vectorized kernel, cached per geometry.
 
-        Converts the columns to Python lists and pre-computes the
-        block address and set frame of every reference for a cache
-        with ``block_bytes`` blocks over ``n_sets`` sets (vectorized;
-        bit-identical to calling :func:`~repro.caches.block.block_address`
-        and :func:`~repro.caches.block.set_index` per record).  The
-        result is memoized on the trace (keyed by geometry) because the
+        Pre-computes the block address and set frame of every
+        reference for a cache with ``block_bytes`` blocks over
+        ``n_sets`` sets (vectorized; bit-identical to calling
+        :func:`~repro.caches.block.block_address` and
+        :func:`~repro.caches.block.set_index` per record).  The result
+        is memoized on the trace (keyed by geometry) because the
         driver replays the same trace object once for warmup and once
         measured.
         """
@@ -117,17 +109,13 @@ class Trace:
                 "(generate or load references before replaying)"
             )
         addresses = np.asarray(self.addresses, dtype=np.int64)
-        baddrs = addresses & ~np.int64(block_bytes - 1)
         shift = block_bytes.bit_length() - 1
         frames = (addresses >> shift) & np.int64(n_sets - 1)
         frames += frames
         batch = BatchDecodedTrace(
-            addresses=self.addresses.tolist(),
-            writes=self.writes.tolist(),
-            block_addrs=baddrs.tolist(),
-            frames=frames.tolist(),
+            np_addresses=addresses,
             np_gaps=np.asarray(self.gaps, dtype=np.int64),
-            np_block_addrs=baddrs,
+            np_block_addrs=addresses & ~np.int64(block_bytes - 1),
             np_frames=frames,
             np_writes=np.asarray(self.writes, dtype=bool),
         )

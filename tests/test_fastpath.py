@@ -226,6 +226,120 @@ class TestFaultParity:
         assert errors["legacy"] == errors["vectorized"]
 
 
+def replay_end_state(config, benchmark, seed, engine, prewarm=True, arm=None):
+    """Replay warmup then measured halves through ``_replay`` directly.
+
+    Returns the outcome of each half (``"ok"`` or the error message)
+    and, after it, the L1's flat state, the MSHR file and the core's
+    scalars: everything a later replay call would start from.
+    """
+    profile = get_benchmark(benchmark)
+    system = make_system(config, prewarm=prewarm)
+    if arm is not None:
+        arm(system)
+    core = CoreModel(
+        params=config.core,
+        core_ipc=profile.core_ipc,
+        exposure=profile.exposure,
+        branch_fraction=profile.branch_fraction,
+        mispredict_rate=profile.mispredict_rate,
+    )
+    l1 = system.l1d
+    mshr = core.mshrs
+    states = []
+    for part in trace_for(benchmark, seed).split(WARMUP):
+        try:
+            _replay(system, core, part, engine=engine)
+            outcome = "ok"
+        except UncorrectableDataError as exc:
+            outcome = str(exc)
+        states.append(
+            {
+                "outcome": outcome,
+                "l1": (list(l1._tags), bytes(l1._dirty), list(l1._stamps), l1._clock),
+                "l1_counts": (l1.hits, l1.misses, l1.writebacks),
+                "mshr": [
+                    (a, e.block_addr, e.issued_at, e.fill_at, e.merged)
+                    for a, e in mshr._entries.items()
+                ],
+                "mshr_min_fill": mshr._min_fill,
+                "mshr_counts": (
+                    mshr.primary_misses, mshr.merged_misses, mshr.full_stalls
+                ),
+                "core": (
+                    core.cycle, core.instructions, core.memory_accesses,
+                    core.branch_penalty_cycles, core.stall_cycles,
+                    core.mshr_stall_cycles,
+                ),
+            }
+        )
+        if outcome != "ok":
+            break
+    return states
+
+
+class TestEndStateParity:
+    """The kernel leaves the state the legacy loop leaves, not only the
+    summary: L1 tags/dirty/stamps/clock, MSHR entries and ``_min_fill``,
+    and the core scalars, after each replay call."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [base_config(), nurapid_config(), dnuca_config(), snuca_config()],
+        ids=lambda c: c.name,
+    )
+    @pytest.mark.parametrize("prewarm", [True, False])
+    def test_end_state_identical(self, config, prewarm):
+        states = {
+            engine: replay_end_state(config, "mcf", 1, engine, prewarm)
+            for engine in EXACT_ENGINES
+        }
+        assert [s["outcome"] for s in states["legacy"]] == ["ok", "ok"]
+        assert states["legacy"] == states["vectorized"]
+
+    def test_end_state_after_uncorrectable_error(self):
+        # TestFaultParity's dirty-line strike: the replay dies mid-way.
+        config = nurapid_config(
+            faults=FaultPlan(
+                transient_per_access=5e-2,
+                max_upset_bits=4,
+                words_per_block=2,
+                interleave_subarrays=1,
+                seed=3,
+            )
+        )
+        states = {
+            engine: replay_end_state(config, "twolf", 3, engine)
+            for engine in EXACT_ENGINES
+        }
+        assert states["legacy"][-1]["outcome"] != "ok"
+        assert states["legacy"] == states["vectorized"]
+
+    def test_end_state_when_l1_writeback_raises(self):
+        # The error comes after the L1 fill, from the dirty victim's
+        # writeback into the L2: the L1 has already taken the miss.
+        def arm(system):
+            l2 = system.lower[0]
+            access = l2.access
+            writebacks = [0]
+
+            def failing_access(address, is_write=False, now=0.0):
+                if is_write:
+                    writebacks[0] += 1
+                    if writebacks[0] == 40:
+                        raise UncorrectableDataError("L2", address, 40)
+                return access(address, is_write=is_write, now=now)
+
+            l2.access = failing_access
+
+        states = {
+            engine: replay_end_state(base_config(), "mcf", 1, engine, arm=arm)
+            for engine in EXACT_ENGINES
+        }
+        assert states["legacy"][-1]["outcome"].endswith("in L2 (access #40)")
+        assert states["legacy"] == states["vectorized"]
+
+
 class TestFallback:
     def test_l1_fault_injector_falls_back(self):
         """An armed L1 makes the kernel decline: one fallback, and the
@@ -303,7 +417,7 @@ class TestRandomizedVectorizedParity:
     Randomized traces (seeded, so reproducible) exercise the L1
     hit/miss/dirty/LRU state machine under varying set-conflict
     pressure, with and without lower-level prewarm; every sample must
-    replay bit-identically under the legacy loop and the chunked
+    replay bit-identically under the legacy loop and the miss-driven
     vectorized kernel.
     """
 

@@ -6,7 +6,7 @@ full ``run_result_to_dict`` payloads — and telemetry report bytes —
 against ``engine=legacy`` across benchmarks, seeds, set-conflict
 pressure, prewarm, fault injection, and compressed-NuRAPID variants.
 The liveness tests pin the kernel's runtime counters, because a
-silently-disabled vector tier (or a kernel that keeps declining
+kernel that stops folding L1 hits (or keeps declining
 telemetry runs) would pass every parity test while delivering none of
 the speedup.
 """
@@ -17,10 +17,11 @@ from dataclasses import replace
 import pytest
 
 from repro.cmp.config import CmpConfig, CompressionConfig
+from repro.cpu.core import CoreModel
 from repro.faults.models import FaultPlan
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim.config import EXACT_ENGINES, nurapid_config
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import _replay, make_system, run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig, reset_runtime_registry, runtime_counters
 from repro.telemetry.report import merge_payloads, render_report
@@ -142,10 +143,29 @@ class TestRandomizedL2Parity:
 
 class TestKernelLiveness:
     def test_vector_tier_fires_on_eligible_config(self):
-        run_dict(nurapid_config(), "galgel", 8000, 3, 1, True, "vectorized")
+        # Hits are folded, and exactly the L1 misses walk the scalar
+        # miss path: refs_scalar equals the legacy loop's L1 misses.
+        config = nurapid_config()
+        profile = get_benchmark("galgel")
+        trace = TraceGenerator(profile, seed=3).generate(8000)
+        l1_misses = {}
+        for engine in EXACT_ENGINES:
+            system = make_system(config)
+            core = CoreModel(
+                params=config.core,
+                core_ipc=profile.core_ipc,
+                exposure=profile.exposure,
+                branch_fraction=profile.branch_fraction,
+                mispredict_rate=profile.mispredict_rate,
+            )
+            reset_runtime_registry()
+            _replay(system, core, trace, engine=engine)
+            l1_misses[engine] = system.l1d.misses
         counters = runtime_counters()
-        assert counters.get("vectorized.refs_vector", 0) > 0
-        assert counters.get("vectorized.runs_applied", 0) > 0
+        assert counters.get("vectorized.refs", 0) == 8000
+        assert counters.get("vectorized.refs_vector", 0) == 8000 - l1_misses["legacy"]
+        assert counters.get("vectorized.refs_scalar", 0) == l1_misses["legacy"]
+        assert 0 < l1_misses["legacy"] < 8000
 
     def test_telemetry_runs_stay_in_kernel(self):
         run_dict(

@@ -262,8 +262,10 @@ class TestDecodedValidation:
         t = self._trace()
         d = t.decoded_batch(block_bytes=32, n_sets=64)
         assert len(d) == len(t)
-        assert len(d.block_addrs) == len(t)
-        assert all(b % 32 == 0 for b in d.block_addrs)
-        assert all(0 <= f < 128 and f % 2 == 0 for f in d.frames)
-        assert d.np_frames.tolist() == d.frames
+        assert d.np_addresses.tolist() == t.addresses.tolist()
+        assert d.np_block_addrs.tolist() == [a & ~31 for a in t.addresses.tolist()]
+        assert d.np_frames.tolist() == [
+            2 * ((a >> 5) & 63) for a in t.addresses.tolist()
+        ]
+        assert d.np_writes.tolist() == t.writes.tolist()
         assert t.decoded_batch(block_bytes=32, n_sets=64) is d
