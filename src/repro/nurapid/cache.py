@@ -417,6 +417,7 @@ class NuRAPIDCache:
         if target >= source:
             raise SimulationError(f"promotion must move inward ({source}->{target})")
         region = self._region_of(baddr)
+        sc = self._scounts
         if (
             self.fault_injector is not None
             and not self._stores[target].has_free(region)
@@ -424,9 +425,9 @@ class NuRAPIDCache:
         ):
             # The target group's region has been fully retired by hard
             # faults: nothing to swap with, so the block stays put.
-            self.stats.add("fault_promotions_blocked")
+            sc["fault_promotions_blocked"] = sc.get("fault_promotions_blocked", 0) + 1
             return
-        self.stats.add("promotions")
+        sc["promotions"] = sc.get("promotions", 0) + 1
         if self.telemetry is not None:
             self.telemetry.event(
                 "promotion", addr=baddr, src=source, dst=target, cycle=now
@@ -471,7 +472,7 @@ class NuRAPIDCache:
         self._replacer.remove(source, region, old_frame)
         self._replacer.insert(source, region, old_frame)
 
-        self.stats.add("demotions")
+        sc["demotions"] = sc.get("demotions", 0) + 1
         if self.telemetry is not None:
             self.telemetry.event(
                 "demotion", addr=victim_addr, src=target, dst=source, cycle=now

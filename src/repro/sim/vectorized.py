@@ -22,13 +22,17 @@ only on L1 misses, in two steps over a pre-decoded trace
    accounting.  ``branch_penalty_cycles`` is independent of misses, so
    it is one fold over the whole trace.
 
-Telemetry runs stay in the kernel: with an L1 telemetry client
-attached, it makes the calls ``SetAssociativeCache`` would make, in
-the same order — ``on_access`` for each hit of a stretch, emitted
-before the next miss's lower-level traffic, ``on_access`` for the miss
-itself, and the ``eviction`` / ``writeback`` / ``placement`` events of
-the fill — and each inlined MSHR allocation records the occupancy
-histogram.
+Telemetry runs stay in the kernel and add no per-reference Python.
+With an L1 telemetry client attached, ``finally`` makes one
+:meth:`~repro.telemetry.CacheTelemetry.on_access_stream` call over the
+applied prefix of references (an interrupted miss included, since
+``SetAssociativeCache`` reports a miss before the lower level can
+raise), which equals one ``on_access`` per reference.  The
+miss-latency and MSHR-occupancy values are collected where the legacy
+loop records them and committed with
+:meth:`~repro.telemetry.Histogram.record_many`.  With an event tracer,
+each fill still emits its ``eviction`` / ``writeback`` /
+``placement`` events in ``SetAssociativeCache.fill``'s order.
 
 Bit-identity contract
 ---------------------
@@ -37,8 +41,9 @@ The kernel replays the *exact* float-operation sequence of the legacy
 loop (no reassociation, no pre-multiplied constants, never the
 builtin ``sum()``, which compensates float error on CPython 3.12),
 drives lower levels through the same ``access``/``fill`` calls at the
-same ``now`` values, and batches only integer counters, flushed in
-``finally``.  A mid-replay
+same ``now`` values, and batches only integer counters and histogram
+records (whose sums are exact left folds in the legacy order), flushed
+in ``finally``.  A mid-replay
 :class:`~repro.faults.models.UncorrectableDataError` from a lower level
 leaves legacy-identical state: the L1 is set to the result of the pass
 over the prefix already applied.  ``python -m repro.bench
@@ -244,8 +249,9 @@ def replay(system, core, trace) -> bool:
     l1_name = l1.name
     l1_energy = l1.energy
     l1_telem = l1.telemetry
-    if l1_telem is not None:
-        on_access = l1_telem.on_access
+    # The fill's structural events go only to a tracer.
+    l1_event = None
+    if l1_telem is not None and l1_telem.tracer is not None:
         l1_event = l1_telem.event
 
     # Core scalars, accumulated locally in the legacy op order.
@@ -265,6 +271,7 @@ def replay(system, core, trace) -> bool:
     mshr_cap = mshr.capacity
     min_fill = mshr._min_fill
     occ_hist = mshr.occupancy_hist
+    occupancies: List[int] = []
     INF = float("inf")
     n_primary = n_merged = n_full = 0
     cycle = core.cycle
@@ -298,6 +305,7 @@ def replay(system, core, trace) -> bool:
     # Miss-path plumbing.
     stats = hierarchy.stats
     hist = hierarchy.miss_latency_hist
+    miss_latencies: List[float] = []
     first = lower[0]
     mem_lat = memory.transfer_cycles(lower[-1].block_bytes)
     lvl_names = [level.name for level in lower]
@@ -335,17 +343,12 @@ def replay(system, core, trace) -> bool:
                     cycle += z
             # The trace-end stretch (no address) is hits only.
             l1_done = end if address is None else end - 1
-            if l1_telem is not None:
-                for b in baddrs_np[gi:l1_done].tolist():
-                    on_access(b, True, None, l1_lat_f)
             gi = end
             if address is None:
                 break
 
             # --- L1 miss: CacheHierarchy._access, inlined ------------
             n_misses += 1
-            if l1_telem is not None:
-                on_access(baddr, False, None, l1_lat_f)
             total_latency = l1_lat
             level_name = "memory"
             missed: Optional[List[int]] = None
@@ -381,7 +384,7 @@ def replay(system, core, trace) -> bool:
             # events in SetAssociativeCache.fill's order.
             n_fills += 1
             l1_done = end
-            if l1_telem is not None:
+            if l1_event is not None:
                 if vaddr >= 0:
                     l1_event("eviction", addr=vaddr)
                     if vdirty:
@@ -398,7 +401,7 @@ def replay(system, core, trace) -> bool:
                     n_mem_writes += 1
                     n_l1_wb_mem += 1
             if hist is not None:
-                hist.record(total_latency)
+                miss_latencies.append(total_latency)
 
             # note_memory_result, inlined (same float-op order).
             beyond_l1 = total_latency - l1_lat
@@ -438,7 +441,7 @@ def replay(system, core, trace) -> bool:
                     min_fill = fill_at
                 n_primary += 1
                 if occ_hist is not None:
-                    occ_hist.record(len(mshr_entries))
+                    occupancies.append(len(mshr_entries))
         completed = True
     finally:
         # Commit batched state.  Runs on an UncorrectableDataError
@@ -504,6 +507,17 @@ def replay(system, core, trace) -> bool:
         mshr.primary_misses += n_primary
         mshr.merged_misses += n_merged
         mshr.full_stalls += n_full
+        if l1_telem is not None:
+            # The L1's accesses over the applied prefix, an
+            # interrupted miss included: SetAssociativeCache reports a
+            # miss before the lower level can raise.
+            l1_hit = np.ones(gi, dtype=bool)
+            l1_hit[miss_pos_np[:n_misses]] = False
+            l1_telem.on_access_stream(baddrs_np[:gi], l1_hit, l1_lat_f)
+        if hist is not None:
+            hist.record_many(miss_latencies)
+        if occ_hist is not None:
+            occ_hist.record_many(occupancies)
         reg = runtime_registry()
         reg.add("vectorized.refs", n_refs)
         reg.add("vectorized.refs_vector", n_hits)

@@ -31,6 +31,8 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
 from repro.telemetry.profile import NullProfiler, PhaseProfiler, profiler_or_null
 from repro.telemetry.registry import (
@@ -137,11 +139,27 @@ class CacheTelemetry:
 
     Caches hold ``self.telemetry = None`` by default and guard every
     call site with ``is not None`` — attaching one of these is what
-    turns collection on.  The client pre-resolves its histograms so
-    the per-access work is two dict operations and two records.
+    turns collection on.  The client pre-resolves its histograms and
+    its counters' full registry keys, so a per-access call is a few
+    dict operations and the histogram records; a counter's key still
+    appears at its first increment.  :meth:`on_access_stream` takes a
+    whole replay's references at once.
     """
 
-    __slots__ = ("name", "scope", "tracer", "hit_latency", "reuse", "_last_seen", "_accesses")
+    __slots__ = (
+        "name",
+        "scope",
+        "tracer",
+        "hit_latency",
+        "reuse",
+        "_last_seen",
+        "_accesses",
+        "_counts",
+        "_prefix",
+        "_hits_key",
+        "_misses_key",
+        "_dg_hits_keys",
+    )
 
     def __init__(self, name: str, scope: Scope, tracer: Optional[EventTracer]) -> None:
         self.name = name
@@ -151,6 +169,14 @@ class CacheTelemetry:
         self.reuse = scope.histogram("reuse_distance", REUSE_BOUNDS)
         self._last_seen: Dict[int, int] = {}
         self._accesses = 0
+        # The registry's counter dict and this scope's keys: what
+        # Scope.add would build per call (increments are all +1 or
+        # positive totals, so its negative check is moot).
+        self._counts = scope._registry._counters
+        self._prefix = scope._prefix
+        self._hits_key = self._prefix + "hits"
+        self._misses_key = self._prefix + "misses"
+        self._dg_hits_keys: Dict[int, str] = {}
 
     def on_access(
         self,
@@ -168,11 +194,75 @@ class CacheTelemetry:
         if hit:
             self.hit_latency.record(latency)
             if dgroup is None:
-                self.scope.add("hits")
+                key = self._hits_key
             else:
-                self.scope.add(f"dg{dgroup}.hits")
+                key = self._dg_hits_keys.get(dgroup)
+                if key is None:
+                    key = f"{self._prefix}dg{dgroup}.hits"
+                    self._dg_hits_keys[dgroup] = key
         else:
-            self.scope.add("misses")
+            key = self._misses_key
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + 1
+
+    def on_access_stream(self, block_addrs, hits, latency: float) -> None:
+        """``on_access(b, h, None, latency)`` per element, in order.
+
+        ``block_addrs`` and ``hits`` are equal-length arrays.  A stable
+        argsort by block gives each reference its previous occurrence
+        in the stream; a block's first occurrence falls back to
+        ``_last_seen``.  The reuse distances and the hits' latency go
+        through :meth:`Histogram.record_many`; ``_last_seen`` ends with
+        the same items in the same insertion order (new blocks in
+        first-occurrence order).
+        """
+        n = len(block_addrs)
+        if not n:
+            return
+        blocks = np.asarray(block_addrs)
+        base = self._accesses
+        # Access number of stream position p is base + 1 + p.
+        order = np.argsort(blocks, kind="stable")
+        sorted_blocks = blocks[order]
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        last = np.append(first[1:], n) - 1
+        # The sort is stable, so within a block's run the previous
+        # entry is its previous occurrence; a run's first entry takes
+        # _last_seen instead (0, "never seen": access numbers start at 1).
+        prev_sorted = np.empty(n, dtype=np.int64)
+        prev_sorted[1:] = order[:-1] + (base + 1)
+        get = self._last_seen.get
+        prev_sorted[first] = [get(b, 0) for b in sorted_blocks[first].tolist()]
+        prev = np.empty(n, dtype=np.int64)
+        prev[order] = prev_sorted
+        seen = prev > 0
+        now = np.arange(base + 1, base + 1 + n, dtype=np.int64)
+        self.reuse.record_many(now[seen] - prev[seen])
+        # np.full keeps latency's int/float kind for min/max.
+        n_hits = int(np.count_nonzero(hits))
+        self.hit_latency.record_many(np.full(n_hits, latency))
+
+        # New counter keys appear in the order their first increment
+        # would have created them.
+        tallies = [(self._hits_key, n_hits), (self._misses_key, n - n_hits)]
+        if not hits[0]:
+            tallies.reverse()
+        counts = self._counts
+        for key, amount in tallies:
+            if amount:
+                counts[key] = counts.get(key, 0) + amount
+
+        by_first = np.argsort(order[first])
+        self._last_seen.update(
+            zip(
+                sorted_blocks[first[by_first]].tolist(),
+                (order[last[by_first]] + (base + 1)).tolist(),
+            )
+        )
+        self._accesses = base + n
 
     def event(self, kind: str, **fields: object) -> None:
         """Offer a structural event to the run's tracer (if any)."""

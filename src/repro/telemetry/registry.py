@@ -26,6 +26,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
 
 #: Canonical bucket bounds (upper edges, inclusive) for cache access
@@ -85,6 +87,36 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def record_many(self, values: Sequence[float]) -> None:
+        """``for v in values: self.record(v)``, in one numpy pass.
+
+        Bucket counts come from ``searchsorted(side="left")``, which is
+        ``bisect_left``; ``sum`` is the same left fold
+        (``np.add.accumulate``, never the pairwise ``np.sum``); ``min``
+        and ``max`` are the first extreme element itself, so an int
+        value stays an int (numpy scalars become Python ones).
+        """
+        n = len(values)
+        if not n:
+            return
+        vals = np.asarray(values, dtype=np.float64)
+        bucket = np.bincount(
+            np.searchsorted(self.bounds, vals, side="left"),
+            minlength=len(self.counts),
+        )
+        for index in np.flatnonzero(bucket).tolist():
+            self.counts[index] += int(bucket[index])
+        self.n += n
+        self.sum = float(np.add.accumulate(np.concatenate(([self.sum], vals)))[-1])
+        low = values[int(np.argmin(vals))]
+        high = values[int(np.argmax(vals))]
+        if isinstance(low, np.generic):
+            low, high = low.item(), high.item()
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
 
     @property
     def mean(self) -> float:

@@ -9,6 +9,7 @@ that across the config matrix and multiple seeds, including
 checkpointed parallel sweeps.
 """
 
+import json
 import random
 from dataclasses import replace
 
@@ -29,10 +30,15 @@ from repro.sim.config import (
     sa_nuca_config,
     snuca_config,
 )
-from repro.sim.driver import _replay, make_system, run_benchmark
+from repro.sim.driver import _attach_telemetry, _replay, make_system, run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.sim.sweep import Sweep, SweepAxis
-from repro.telemetry import TelemetryConfig, reset_runtime_registry, runtime_counters
+from repro.telemetry import (
+    Telemetry,
+    TelemetryConfig,
+    reset_runtime_registry,
+    runtime_counters,
+)
 from repro.telemetry.report import merge_payloads, render_report
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.tracegen import TraceGenerator, generate_trace
@@ -226,12 +232,17 @@ class TestFaultParity:
         assert errors["legacy"] == errors["vectorized"]
 
 
-def replay_end_state(config, benchmark, seed, engine, prewarm=True, arm=None):
+def replay_end_state(
+    config, benchmark, seed, engine, prewarm=True, arm=None, telemetry=False
+):
     """Replay warmup then measured halves through ``_replay`` directly.
 
     Returns the outcome of each half (``"ok"`` or the error message)
     and, after it, the L1's flat state, the MSHR file and the core's
-    scalars: everything a later replay call would start from.
+    scalars: everything a later replay call would start from.  With
+    ``telemetry``, a session with events is attached before the first
+    half, and each state also holds its registry, its event stream and
+    the L1 client's reuse bookkeeping.
     """
     profile = get_benchmark(benchmark)
     system = make_system(config, prewarm=prewarm)
@@ -244,6 +255,10 @@ def replay_end_state(config, benchmark, seed, engine, prewarm=True, arm=None):
         branch_fraction=profile.branch_fraction,
         mispredict_rate=profile.mispredict_rate,
     )
+    session = None
+    if telemetry:
+        session = Telemetry(TelemetryConfig(events=True, trace_limit=None), "t")
+        _attach_telemetry(system, core, session)
     l1 = system.l1d
     mshr = core.mshrs
     states = []
@@ -273,15 +288,65 @@ def replay_end_state(config, benchmark, seed, engine, prewarm=True, arm=None):
                 ),
             }
         )
+        if session is not None:
+            client = l1.telemetry
+            states[-1]["telemetry"] = (
+                # JSON text: tells an int min/max from a float one.
+                json.dumps(session.registry.to_dict()),
+                session.tracer.events(),
+                list(client._last_seen.items()),
+                client._accesses,
+            )
         if outcome != "ok":
             break
     return states
 
 
+#: TestFaultParity's dirty-line strike: a replay that dies mid-way.
+STRIKE_CONFIG = nurapid_config(
+    faults=FaultPlan(
+        transient_per_access=5e-2,
+        max_upset_bits=4,
+        words_per_block=2,
+        interleave_subarrays=1,
+        seed=3,
+    )
+)
+
+
+def _failing_l2(count, on_write):
+    """An ``arm`` whose L2 raises on its ``count``-th write or read."""
+
+    def arm(system):
+        l2 = system.lower[0]
+        access = l2.access
+        seen = [0]
+
+        def failing_access(address, is_write=False, now=0.0):
+            if is_write == on_write:
+                seen[0] += 1
+                if seen[0] == count:
+                    raise UncorrectableDataError("L2", address, count)
+            return access(address, is_write=is_write, now=now)
+
+        l2.access = failing_access
+
+    return arm
+
+
+def fail_l2_writeback(count):
+    return _failing_l2(count, on_write=True)
+
+
+def fail_l2_read(count):
+    return _failing_l2(count, on_write=False)
+
+
 class TestEndStateParity:
     """The kernel leaves the state the legacy loop leaves, not only the
     summary: L1 tags/dirty/stamps/clock, MSHR entries and ``_min_fill``,
-    and the core scalars, after each replay call."""
+    and the core scalars, after each replay call; with telemetry on,
+    also the registry, the events and the L1 client's reuse state."""
 
     @pytest.mark.parametrize(
         "config",
@@ -297,47 +362,60 @@ class TestEndStateParity:
         assert [s["outcome"] for s in states["legacy"]] == ["ok", "ok"]
         assert states["legacy"] == states["vectorized"]
 
-    def test_end_state_after_uncorrectable_error(self):
-        # TestFaultParity's dirty-line strike: the replay dies mid-way.
-        config = nurapid_config(
-            faults=FaultPlan(
-                transient_per_access=5e-2,
-                max_upset_bits=4,
-                words_per_block=2,
-                interleave_subarrays=1,
-                seed=3,
-            )
-        )
+    @staticmethod
+    def check_uncorrectable_error(telemetry):
         states = {
-            engine: replay_end_state(config, "twolf", 3, engine)
+            engine: replay_end_state(
+                STRIKE_CONFIG, "twolf", 3, engine, telemetry=telemetry
+            )
             for engine in EXACT_ENGINES
         }
         assert states["legacy"][-1]["outcome"] != "ok"
         assert states["legacy"] == states["vectorized"]
 
+    @staticmethod
+    def check_l2_raises(arm, count, telemetry):
+        states = {
+            engine: replay_end_state(
+                base_config(), "mcf", 1, engine, arm=arm, telemetry=telemetry
+            )
+            for engine in EXACT_ENGINES
+        }
+        assert states["legacy"][-1]["outcome"].endswith(f"in L2 (access #{count})")
+        assert states["legacy"] == states["vectorized"]
+
+    def test_end_state_after_uncorrectable_error(self):
+        self.check_uncorrectable_error(telemetry=False)
+
     def test_end_state_when_l1_writeback_raises(self):
         # The error comes after the L1 fill, from the dirty victim's
         # writeback into the L2: the L1 has already taken the miss.
-        def arm(system):
-            l2 = system.lower[0]
-            access = l2.access
-            writebacks = [0]
+        self.check_l2_raises(fail_l2_writeback(40), 40, telemetry=False)
 
-            def failing_access(address, is_write=False, now=0.0):
-                if is_write:
-                    writebacks[0] += 1
-                    if writebacks[0] == 40:
-                        raise UncorrectableDataError("L2", address, 40)
-                return access(address, is_write=is_write, now=now)
-
-            l2.access = failing_access
-
+    @pytest.mark.parametrize(
+        "config",
+        [base_config(), nurapid_config(), dnuca_config(), snuca_config()],
+        ids=lambda c: c.name,
+    )
+    def test_end_state_identical_with_telemetry(self, config):
         states = {
-            engine: replay_end_state(base_config(), "mcf", 1, engine, arm=arm)
+            engine: replay_end_state(config, "mcf", 1, engine, telemetry=True)
             for engine in EXACT_ENGINES
         }
-        assert states["legacy"][-1]["outcome"].endswith("in L2 (access #40)")
+        assert [s["outcome"] for s in states["legacy"]] == ["ok", "ok"]
+        assert '"histograms": {"' in states["legacy"][-1]["telemetry"][0]
         assert states["legacy"] == states["vectorized"]
+
+    def test_telemetry_end_state_after_uncorrectable_error(self):
+        self.check_uncorrectable_error(telemetry=True)
+
+    def test_telemetry_end_state_when_l1_writeback_raises(self):
+        self.check_l2_raises(fail_l2_writeback(40), 40, telemetry=True)
+
+    def test_telemetry_end_state_when_l2_miss_raises(self):
+        # The error comes from an L1 miss's own L2 read: the L1 client
+        # has already counted that miss, and nothing after it.
+        self.check_l2_raises(fail_l2_read(300), 300, telemetry=True)
 
 
 class TestFallback:

@@ -293,6 +293,7 @@ class TestNuRAPIDDegradation:
         assert stats.get("hits", 0) > 0
         assert small_nurapid.dgroup_hits.items()
         assert all(group != 0 for group, _ in small_nurapid.dgroup_hits.items())
+        assert stats.get("fault_promotions_blocked", 0) > 0
         small_nurapid.check_invariants()
 
     def test_capacity_eviction_when_frames_outnumbered(self, small_nurapid):

@@ -2,7 +2,9 @@
 
 import json
 import os
+import random
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -14,6 +16,7 @@ from repro.telemetry import (
     EventTracer,
     Histogram,
     LATENCY_BOUNDS,
+    REUSE_BOUNDS,
     NullProfiler,
     PhaseProfiler,
     StatRegistry,
@@ -371,6 +374,149 @@ class TestCacheTelemetry:
         client = session.cache_client("l2")
         client.event("placement", addr=0)  # no tracer: silently ignored
         assert session.tracer is None
+
+
+def histogram_state(hist):
+    """Everything a histogram holds, Python types of min/max included."""
+    payload = hist.to_dict()
+    return (
+        json.dumps(payload),
+        [type(c) for c in hist.counts],
+        type(hist.n), type(hist.sum), type(hist.min), type(hist.max),
+    )
+
+
+def random_values(rng, kind, n):
+    if kind == "int":
+        return [rng.randint(0, 700) for _ in range(n)]
+    if kind == "float":
+        return [rng.random() * 700 for _ in range(n)]
+    # Mixed, with exact bound hits and overflow values.
+    pool = list(LATENCY_BOUNDS) + [0, 1e6, 513, 3.3]
+    return [
+        rng.choice(pool) if rng.random() < 0.3
+        else (rng.random() * 600 if rng.random() < 0.5 else rng.randint(0, 600))
+        for _ in range(n)
+    ]
+
+
+class TestRecordMany:
+    """``Histogram.record_many`` against ``record`` called per value."""
+
+    @pytest.mark.parametrize("kind", ["int", "float", "mixed"])
+    def test_matches_per_value_records(self, kind):
+        rng = random.Random(kind)
+        for _ in range(100):
+            oracle, batched = Histogram(LATENCY_BOUNDS), Histogram(LATENCY_BOUNDS)
+            for _ in range(rng.randint(0, 3)):
+                values = random_values(rng, kind, rng.randint(0, 50))
+                for value in values:
+                    oracle.record(value)
+                batched.record_many(values)
+            assert histogram_state(batched) == histogram_state(oracle)
+
+    def test_numpy_input_gives_python_extremes(self):
+        oracle, batched = Histogram(REUSE_BOUNDS), Histogram(REUSE_BOUNDS)
+        values = np.array([7, 3, 1_000_000, 3], dtype=np.int64)
+        for value in values.tolist():
+            oracle.record(value)
+        batched.record_many(values)
+        assert histogram_state(batched) == histogram_state(oracle)
+        assert type(batched.min) is int and batched.counts[-1] == 1
+
+    def test_int_extremes_stay_int(self):
+        hist = Histogram(LATENCY_BOUNDS)
+        hist.record_many([14, 14.0, 20.5])
+        assert hist.min == 14 and type(hist.min) is int
+        assert json.dumps(hist.to_dict()["min"]) == "14"
+        hist.record_many([14.0])  # a tie never replaces the first minimum
+        assert type(hist.min) is int
+
+    def test_empty_is_a_no_op(self):
+        hist = Histogram((1, 2))
+        hist.record_many([])
+        assert hist.to_dict() == Histogram((1, 2)).to_dict()
+
+
+def client_state(session, client):
+    registry = session.registry
+    return (
+        json.dumps(registry.to_dict()),
+        list(registry._counters),
+        list(client._last_seen.items()),
+        client._accesses,
+        histogram_state(client.reuse),
+        histogram_state(client.hit_latency),
+    )
+
+
+class TestOnAccessStream:
+    """``CacheTelemetry.on_access_stream`` against per-access calls."""
+
+    @staticmethod
+    def pair():
+        clients = []
+        for _ in range(2):
+            session = Telemetry(TelemetryConfig(), "t")
+            clients.append((session, session.cache_client("l1d")))
+        return clients
+
+    def run_streams(self, streams, latency, prior=()):
+        (s_oracle, oracle), (s_batched, batched) = self.pair()
+        for block, hit in prior:
+            oracle.on_access(block, hit, None, latency)
+            batched.on_access(block, hit, None, latency)
+        for blocks, hits in streams:
+            for block, hit in zip(blocks, hits):
+                oracle.on_access(block, hit, None, latency)
+            batched.on_access_stream(
+                np.array(blocks, dtype=np.int64), np.array(hits, dtype=bool), latency
+            )
+            assert client_state(s_batched, batched) == client_state(s_oracle, oracle)
+        return s_batched, batched
+
+    def test_seeded_streams_with_carried_state(self):
+        rng = random.Random(15)
+        for trial in range(300):
+            pool = rng.choice([4, 64, 5000, 1 << 40])
+            latency = rng.choice([3.0, 3, 2.5])
+
+            def stream(n):
+                blocks = [rng.randrange(pool) * 64 for _ in range(n)]
+                hits = [rng.random() < 0.8 for _ in range(n)]
+                return blocks, hits
+
+            prior = list(zip(*stream(rng.randint(0, 30))))
+            streams = [stream(rng.choice([0, 1, 2, 40, 700])) for _ in range(3)]
+            self.run_streams(streams, latency, prior)
+
+    def test_empty_all_hit_and_all_miss_streams(self):
+        blocks = [0, 64, 0, 128, 64, 0]
+        session, _ = self.run_streams(
+            [([], []), (blocks, [True] * 6), (blocks, [False] * 6), ([], [])], 3
+        )
+        counters = session.registry.counters()
+        assert counters == {"l1d.hits": 6, "l1d.misses": 6}
+
+    def test_counter_keys_appear_only_when_incremented(self):
+        session, client = self.run_streams([([0, 64], [True, True])], 3.0)
+        assert "l1d.misses" not in session.registry.counters()
+        # A stream that starts with a miss creates its key first.
+        session, _ = self.run_streams([([0, 64], [False, True])], 3.0)
+        assert list(session.registry._counters) == ["l1d.misses", "l1d.hits"]
+
+    def test_last_seen_order_and_overflow_reuse(self):
+        # 0 and 64 are known before the stream; 192 and 128 are new
+        # and must be appended in first-occurrence order.
+        far = [(((1 << 20) + b) * 64, True) for b in range(300_000)]
+        prior = [(0, True)] + far + [(64, False)]
+        session, client = self.run_streams(
+            [([192, 0, 128, 64, 192], [True] * 5)], 3.0, prior
+        )
+        keys = list(client._last_seen)
+        assert keys[-2:] == [192, 128] and keys[0] == 0
+        assert client.reuse.counts[-1] == 1  # 0's distance overflows
+        assert type(client.reuse.max) is int
 
 
 class TestReport:
