@@ -18,6 +18,7 @@ promotion by swapping with the LRU way of the adjacent faster group.
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common import prewarm_cache
@@ -79,7 +80,8 @@ class SetAssociativePlacementCache:
         self._dirty = bytearray(n_frames)
         #: Logical timestamp of the last touch, for LRU-within-group.
         self._touch: List[int] = [0] * n_frames
-        self._where: List[Dict[int, int]] = [dict() for _ in range(self.n_sets)]
+        #: Cache-wide block address -> way.
+        self._where: Dict[int, int] = {}
         self._clock = 0
         self.port = PortScheduler(f"{name}.port")
 
@@ -145,12 +147,10 @@ class SetAssociativePlacementCache:
     # --- lookups ---
 
     def contains(self, address: int) -> bool:
-        baddr = block_address(address, self.block_bytes)
-        return baddr in self._where[self._set_of(address)]
+        return block_address(address, self.block_bytes) in self._where
 
     def dgroup_of(self, address: int) -> Optional[int]:
-        baddr = block_address(address, self.block_bytes)
-        way = self._where[self._set_of(address)].get(baddr)
+        way = self._where.get(block_address(address, self.block_bytes))
         return None if way is None else self.dgroup_of_way(way)
 
     # --- access path ---
@@ -165,7 +165,7 @@ class SetAssociativePlacementCache:
         ec[self._k_tag] += 1
         energy = self._tag_cost
 
-        way = self._where[index].get(baddr)
+        way = self._where.get(baddr)
         if way is None:
             # Sequential tag-data access: the pipelined tag probe alone
             # determines the miss.
@@ -230,7 +230,7 @@ class SetAssociativePlacementCache:
         addrs[fa], addrs[fb] = addrs[fb], addrs[fa]
         dirty[fa], dirty[fb] = dirty[fb], dirty[fa]
         touch[fa], touch[fb] = touch[fb], touch[fa]
-        where = self._where[index]
+        where = self._where
         where[addrs[fb]] = peer
         demoted = addrs[fa]
         if demoted >= 0:
@@ -265,7 +265,7 @@ class SetAssociativePlacementCache:
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
-        where = self._where[index]
+        where = self._where
         if baddr in where:
             return 0
         sc = self._scounts
@@ -279,7 +279,7 @@ class SetAssociativePlacementCache:
         # If the set is full, evict the LRU way of the slowest group
         # (bubble data replacement: not necessarily the set's LRU).
         # Every way of a full set is occupied, so the LRU way is too.
-        if len(where) >= self.associativity:
+        if -1 not in addrs[base : base + self.associativity]:
             slowest = self.n_dgroups - 1
             frame = base + lru_way(addrs, touch, base, base + slowest * wpg, wpg)
             victim_addr = addrs[frame]
@@ -356,18 +356,18 @@ class SetAssociativePlacementCache:
         sets = self.n_sets
         assoc = self.associativity
         bb = self.block_bytes
-        if not any(self._where):
+        if not self._where:
             key = f"{type(self).__qualname__}|{sets}|{assoc}|{bb}"
             proto = prewarm_cache.get(key)
             if proto is None:
                 addrs = prewarm_cache.dummy_addresses(self.PREWARM_BASE, sets, assoc, bb)
-                proto = (addrs, prewarm_cache.way_maps(addrs, assoc))
+                proto = (addrs, dict(zip(addrs, cycle(range(assoc)))))
                 prewarm_cache.put(key, proto)
             addrs, where = proto
             self._addrs[:] = addrs
             self._dirty[:] = bytes(len(addrs))
             self._touch[:] = [0] * len(addrs)
-            self._where[:] = [dict(w) for w in where]
+            self._where.update(where)
             return
         for index in range(sets):
             base = index * assoc
@@ -378,7 +378,7 @@ class SetAssociativePlacementCache:
                 self._addrs[base + way] = baddr
                 self._dirty[base + way] = 0
                 self._touch[base + way] = 0
-                self._where[index][baddr] = way
+                self._where[baddr] = way
 
     # --- introspection ---
 
@@ -399,16 +399,17 @@ class SetAssociativePlacementCache:
         self.port.grants = 0
 
     def check_invariants(self) -> None:
-        for index in range(self.n_sets):
-            base = index * self.associativity
-            where = self._where[index]
-            occupied = sum(
-                1 for way in range(self.associativity) if self._addrs[base + way] >= 0
+        occupied = 0
+        for frame, baddr in enumerate(self._addrs):
+            if baddr < 0:
+                continue
+            occupied += 1
+            index, way = divmod(frame, self.associativity)
+            if self._where.get(baddr) != way:
+                raise SimulationError(f"set {index} way {way} map mismatch")
+            if self._set_of(baddr) != index:
+                raise SimulationError(f"block {baddr:#x} in wrong set")
+        if len(self._where) != occupied:
+            raise SimulationError(
+                f"{len(self._where)} mapped blocks but {occupied} occupied ways"
             )
-            if len(where) != occupied:
-                raise SimulationError(f"set {index} map/slot count mismatch")
-            for baddr, way in where.items():
-                if self._addrs[base + way] != baddr:
-                    raise SimulationError(f"set {index} way {way} map mismatch")
-                if self._set_of(baddr) != index:
-                    raise SimulationError(f"block {baddr:#x} in wrong set")

@@ -169,21 +169,21 @@ def _replay_cmp(systems: List[System], cores: List[CoreModel], trace: CmpTrace) 
 
 
 def _shared_occupancy_by_core(target, n_cores: int) -> Optional[List[int]]:
-    """Census of shared-LLC blocks per owning core (address bits)."""
-    tag_sets = getattr(target, "_tags", None)
-    if tag_sets is None:
-        tag_sets = getattr(target, "_sets", None)
-    if tag_sets is None:
+    """Census of shared-LLC blocks per owning core (address bits).
+
+    None for an LLC that offers no ``resident_addresses()`` census.
+    """
+    census = getattr(target, "resident_addresses", None)
+    if census is None:
         return None
     counts = [0] * n_cores
     base = target.PREWARM_BASE if hasattr(target, "PREWARM_BASE") else None
-    for tag_set in tag_sets:
-        for baddr in tag_set:
-            if base is not None and baddr >= base:
-                continue  # prewarm dummies belong to no core
-            core = (baddr >> CORE_ADDR_SHIFT) & (MAX_CORES - 1)
-            if core < n_cores:
-                counts[core] += 1
+    for baddr in census():
+        if base is not None and baddr >= base:
+            continue  # prewarm dummies belong to no core
+        core = (baddr >> CORE_ADDR_SHIFT) & (MAX_CORES - 1)
+        if core < n_cores:
+            counts[core] += 1
     return counts
 
 

@@ -1,12 +1,15 @@
 """Generic eviction/victim-selection policies.
 
-The same machinery backs two very different users:
+The same machinery models two very different uses:
 
 * *data replacement* within a cache set (a handful of ways, where the
-  paper uses true LRU), and
+  paper uses true LRU; S-NUCA's sets run on :class:`LRUPolicy`), and
 * *distance replacement* within a NuRAPID d-group (thousands of frames,
   where the paper argues true LRU is too expensive in hardware and
   evaluates random and approximate alternatives — §2.4.2, §5.3.1).
+  NuRAPID runs flat, frame-indexed selectors
+  (:mod:`repro.nurapid.replacement`) that the tests check against
+  these policies, choice for choice.
 
 A policy tracks an arbitrary collection of hashable keys.  ``touch``
 records a use, ``insert`` adds a new key, ``pop_victim`` selects and
@@ -167,16 +170,6 @@ class RandomPolicy(EvictionPolicy):
         self._index[key] = len(self._keys)
         self._keys.append(key)
 
-    def insert_many(self, keys: Iterable[Hashable]) -> None:
-        keys = list(keys)
-        index = self._index
-        base = len(self._keys)
-        for pos, key in enumerate(keys):
-            if key in index:
-                raise SimulationError("duplicate key in RandomPolicy.insert_many")
-            index[key] = base + pos
-        self._keys.extend(keys)
-
     def touch(self, key: Hashable) -> None:
         if key not in self._index:
             raise SimulationError(f"touch of untracked key {key!r}")
@@ -203,17 +196,6 @@ class RandomPolicy(EvictionPolicy):
         if self._pending_victim is None or self._pending_victim not in self._index:
             self._pending_victim = self._keys[self._rng.randint(0, len(self._keys) - 1)]
         return self._pending_victim
-
-    def state_copy(self) -> object:
-        # The RNG stream is deliberately NOT part of the snapshot: the
-        # restoring policy keeps its own (identically-seeded) stream.
-        return (list(self._keys), dict(self._index), self._pending_victim)
-
-    def load_state(self, state: object) -> None:
-        keys, index, pending = state  # type: ignore[misc]
-        self._keys = list(keys)
-        self._index = dict(index)
-        self._pending_victim = pending
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -244,17 +226,6 @@ class ApproxLRUPolicy(EvictionPolicy):
         self._index[key] = len(self._keys)
         self._keys.append(key)
         self._refbit[key] = True
-
-    def insert_many(self, keys: Iterable[Hashable]) -> None:
-        keys = list(keys)
-        index = self._index
-        base = len(self._keys)
-        for pos, key in enumerate(keys):
-            if key in index:
-                raise SimulationError("duplicate key in ApproxLRUPolicy.insert_many")
-            index[key] = base + pos
-        self._keys.extend(keys)
-        self._refbit.update(dict.fromkeys(keys, True))
 
     def touch(self, key: Hashable) -> None:
         if key not in self._index:
@@ -287,16 +258,6 @@ class ApproxLRUPolicy(EvictionPolicy):
             else:
                 return key
         return self._keys[self._hand]
-
-    def state_copy(self) -> object:
-        return (list(self._keys), dict(self._index), dict(self._refbit), self._hand)
-
-    def load_state(self, state: object) -> None:
-        keys, index, refbit, hand = state  # type: ignore[misc]
-        self._keys = list(keys)
-        self._index = dict(index)
-        self._refbit = dict(refbit)
-        self._hand = hand
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -1,7 +1,7 @@
 """Process-wide prewarm prototype registry.
 
 Prewarming a large cache model builds the same steady-state containers
-(tag dicts, frame stores, policy recency) every time a cache of the
+(tag arrays, frame stores, replacement recency) every time a cache of the
 same shape is constructed — profiling shows it is ~40% of a NuRAPID
 cell's setup, repeated for every benchmark x config x repetition.  The
 fill itself draws no RNG and charges no stats or energy, so its result
@@ -16,15 +16,23 @@ snapshot is the re-run's exact output).
 registry, forcing every prewarm to run the full fill — the escape
 hatch for debugging and for the parity tests that prove restore and
 re-run agree.
+
+Every lookup is one prewarm, counted in the runtime registry
+(:func:`repro.telemetry.runtime.runtime_registry`) as
+``prewarm.restores`` when a prototype was found and ``prewarm.builds``
+when the caller runs the full fill — so cold and warm system builds
+can be told apart.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
+
+from repro.telemetry.runtime import runtime_registry
 
 #: Distinct cache shapes retained (FIFO).  Suites sweep only a handful
 #: of shapes; the cap bounds memory if something generates many.
@@ -40,10 +48,10 @@ def enabled() -> bool:
 
 
 def get(key: str) -> Optional[object]:
-    """The stored prototype for ``key``, or None."""
-    if not enabled():
-        return None
-    return _snapshots.get(key)
+    """The stored prototype for ``key``, or None (the caller then builds it)."""
+    proto = _snapshots.get(key) if enabled() else None
+    runtime_registry().add("prewarm.builds" if proto is None else "prewarm.restores")
+    return proto
 
 
 def put(key: str, snapshot: object) -> None:
@@ -72,11 +80,3 @@ def dummy_addresses(base: int, sets: int, ways: int, block_bytes: int) -> List[i
     )
     return (base + grid * block_bytes).ravel().tolist()
 
-
-def way_maps(addrs: List[int], ways: int) -> List[Dict[int, int]]:
-    """Per-set ``{address: way}`` maps over a set-major address list."""
-    positions = range(ways)
-    return [
-        dict(zip(addrs[start : start + ways], positions))
-        for start in range(0, len(addrs), ways)
-    ]

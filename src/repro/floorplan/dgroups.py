@@ -16,6 +16,7 @@ produce the numbers the paper's Tables 2 and 4 report:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -38,6 +39,13 @@ DGROUP_REQUEST_BITS = 24
 #: captured by the raw tag-array circuit model.  Chosen so the 8 MB
 #: 8-way NuRAPID tag comes out at the paper's 8 cycles (§5.1).
 TAG_SEQUENCING_CYCLES = 4
+
+
+#: Distinct argument sets each frozen builder below remembers.  Their
+#: results are immutable (frozen dataclasses over tuples), so every
+#: cache model of one shape shares one spec or geometry instead of
+#: re-running the mini-Cacti characterization per system build.
+_BUILDER_CACHE = 64
 
 
 def _log2_int(value: int, what: str) -> int:
@@ -154,6 +162,7 @@ class NuRAPIDGeometry:
             raise ConfigurationError(f"d-group {dgroup} out of range")
 
 
+@functools.lru_cache(maxsize=_BUILDER_CACHE)
 def build_nurapid_geometry(
     n_dgroups: int = 4,
     capacity_bytes: int = 8 * 1024 * 1024,
@@ -321,6 +330,7 @@ class DNUCAGeometry:
         return column
 
 
+@functools.lru_cache(maxsize=_BUILDER_CACHE)
 def build_dnuca_geometry(
     capacity_bytes: int = 8 * 1024 * 1024,
     block_bytes: int = 128,
@@ -444,6 +454,7 @@ class UniformCacheSpec:
     tag_energy_nj: float
 
 
+@functools.lru_cache(maxsize=_BUILDER_CACHE)
 def build_uniform_cache_spec(
     name: str,
     capacity_bytes: int,

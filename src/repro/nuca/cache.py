@@ -18,10 +18,15 @@ SetAssociativePlacementCache`: frame ``set * associativity + position``
 indexes ``_addrs`` (resident block address, -1 = free way), ``_dirty``
 and ``_touch`` (logical time of the last touch, for LRU within a
 bank); position ``p`` lives at chain level ``p // ways_per_bank``.
+One cache-wide dict, ``_where``, maps each resident block to its
+position.  The smart-search array's contents are the partial tags of
+a set's resident ways at their levels, so they are read straight off
+``_addrs`` rather than mirrored.
 """
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common import prewarm_cache
@@ -71,8 +76,8 @@ class DNUCACache:
         self._addrs: List[int] = [-1] * n_frames
         self._dirty = bytearray(n_frames)
         self._touch: List[int] = [0] * n_frames
-        #: per set: block address -> position.
-        self._where: List[Dict[int, int]] = [dict() for _ in range(self.n_sets)]
+        #: Cache-wide block address -> position within its set.
+        self._where: Dict[int, int] = {}
         self._clock = 0
         self._ports = [PortScheduler(f"{self.name}.bank{i}") for i in range(self.geometry.n_banks)]
 
@@ -112,10 +117,7 @@ class DNUCACache:
         because they cannot fire: every bank's occupancy is at least
         one cycle (see :func:`build_dnuca_geometry`) and every request
         time is the driver's non-negative clock plus non-negative
-        search latency.  The inlined ss-array updates skip its range
-        and presence checks for the same reason: levels come from
-        positions below ``associativity``, and the array mirrors
-        ``_where`` exactly (:meth:`check_invariants` verifies it).
+        search latency.
         """
         config = self.config
         geo = self.geometry
@@ -136,7 +138,6 @@ class DNUCACache:
         self._level_of_pos = tuple(
             p // self.ways_per_bank for p in range(self._assoc)
         )
-        self._ss_entries = self.smart_search._entries
         self._ss_latency = float(geo.ss_latency_cycles)
         self._k_ss = f"{self.name}.ss_probe"
         self._ss_cost = self.energy.cost(self._k_ss)
@@ -183,12 +184,10 @@ class DNUCACache:
         return set_index(address, self.block_bytes, self.n_sets)
 
     def contains(self, address: int) -> bool:
-        baddr = block_address(address, self.block_bytes)
-        return baddr in self._where[self._set_of(address)]
+        return block_address(address, self.block_bytes) in self._where
 
     def level_of(self, address: int) -> Optional[int]:
-        baddr = block_address(address, self.block_bytes)
-        pos = self._where[self._set_of(address)].get(baddr)
+        pos = self._where.get(block_address(address, self.block_bytes))
         return None if pos is None else self._level_of_pos[pos]
 
     # --- the access path ---
@@ -207,7 +206,7 @@ class DNUCACache:
             energy += self._ss_cost
             self.smart_search.lookups += 1
 
-        pos = self._where[index].get(baddr)
+        pos = self._where.get(baddr)
         level = None if pos is None else self._level_of_pos[pos]
 
         if policy is SearchPolicy.SS_PERFORMANCE:
@@ -250,8 +249,9 @@ class DNUCACache:
             shift = self._ptag_shift
             mask = self._ptag_mask
             want = (baddr >> shift) & mask
-            for resident in self._ss_entries[index]:
-                if (resident >> shift) & mask == want:
+            base = index * self._assoc
+            for resident in self._addrs[base : base + self._assoc]:
+                if resident >= 0 and (resident >> shift) & mask == want:
                     break
             else:
                 # Early miss: no partial match, no bank is touched for
@@ -332,11 +332,14 @@ class DNUCACache:
             shift = self._ptag_shift
             mask = self._ptag_mask
             want = (baddr >> shift) & mask
+            base = index * self._assoc
             candidates = sorted(
                 {
                     lv
-                    for resident, lv in self._ss_entries[index].items()
-                    if (resident >> shift) & mask == want
+                    for resident, lv in zip(
+                        self._addrs[base : base + self._assoc], self._level_of_pos
+                    )
+                    if resident >= 0 and (resident >> shift) & mask == want
                 }
             )
             elapsed = self._ss_latency
@@ -393,13 +396,10 @@ class DNUCACache:
         addrs[fa], addrs[fb] = displaced, moving
         dirty[fa], dirty[fb] = dirty[fb], dirty[fa]
         touch[fa], touch[fb] = touch[fb], touch[fa]
-        where = self._where[index]
-        levels = self._ss_entries[index]
+        where = self._where
         where[moving] = peer
-        levels[moving] = target
         if displaced >= 0:
             where[displaced] = position
-            levels[displaced] = level
 
         sc = self._scounts
         sc["promotions"] = sc.get("promotions", 0) + 1
@@ -442,7 +442,7 @@ class DNUCACache:
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
-        where = self._where[index]
+        where = self._where
         if baddr in where:
             return 0
         sc = self._scounts
@@ -450,7 +450,6 @@ class DNUCACache:
         self._clock += 1
         insert_level = self._insert_level
         bank = self._chain_banks[index % self._n_chains][insert_level]
-        levels = self._ss_entries[index]
 
         writebacks = 0
         wpb = self.ways_per_bank
@@ -461,7 +460,6 @@ class DNUCACache:
         if old >= 0:
             # Evict the slowest (or fastest, under head insertion) way.
             del where[old]
-            del levels[old]
             sc["evictions"] = sc.get("evictions", 0) + 1
             if self.telemetry is not None:
                 self.telemetry.event(
@@ -481,7 +479,6 @@ class DNUCACache:
         self._dirty[frame] = 1 if dirty else 0
         self._touch[frame] = self._clock
         where[baddr] = position
-        levels[baddr] = insert_level
         self._ecounts[self._k_write[bank]] += 1
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         if self.telemetry is not None:
@@ -518,19 +515,16 @@ class DNUCACache:
             addrs = prewarm_cache.dummy_addresses(
                 self.PREWARM_BASE, self.n_sets, self._assoc, self.block_bytes
             )
-            proto = (addrs, prewarm_cache.way_maps(addrs, self._assoc))
+            proto = (addrs, dict(zip(addrs, cycle(range(self._assoc)))))
             prewarm_cache.put(key, proto)
         # Install copies (never aliasing the prototype), in place so the
-        # hot-path views stay valid.  The ss-array's levels are rebuilt
-        # rather than stored twice: every prototype map lists positions
-        # 0..associativity-1 in order, so its levels are _level_of_pos.
+        # hot-path views stay valid.
         addrs, where = proto
         self._addrs[:] = addrs
         self._dirty[:] = bytes(len(addrs))
         self._touch[:] = [0] * len(addrs)
-        self._where[:] = [dict(w) for w in where]
-        levels = self._level_of_pos
-        self._ss_entries[:] = [dict(zip(w, levels)) for w in where]
+        self._where.clear()
+        self._where.update(where)
 
     # --- introspection ---
 
@@ -547,7 +541,7 @@ class DNUCACache:
         return self.stats.get("misses") / total
 
     def resident_blocks(self) -> int:
-        return sum(len(w) for w in self._where)
+        return len(self._where)
 
     def reset_stats(self) -> None:
         """Zero counters after warmup; contents and bank timelines kept."""
@@ -562,26 +556,18 @@ class DNUCACache:
             port.grants = 0
 
     def check_invariants(self) -> None:
-        assoc = self._assoc
-        for index in range(self.n_sets):
-            where = self._where[index]
-            base = index * assoc
-            occupied = {
-                pos: self._addrs[base + pos]
-                for pos in range(assoc)
-                if self._addrs[base + pos] >= 0
-            }
-            if len(where) != len(occupied):
-                raise SimulationError(f"set {index} slot/map count mismatch")
-            ss_levels = self._ss_entries[index]
-            if len(ss_levels) != len(where):
-                raise SimulationError(f"set {index} ss-array/map count mismatch")
-            for baddr, pos in where.items():
-                if occupied.get(pos) != baddr:
-                    raise SimulationError(f"set {index} position {pos} mismatch")
-                if self._set_of(baddr) != index:
-                    raise SimulationError(f"block {baddr:#x} in wrong set")
-                if ss_levels.get(baddr) != self._level_of_pos[pos]:
-                    raise SimulationError(
-                        f"ss-array stale for block {baddr:#x} (set {index})"
-                    )
+        addrs = self._addrs
+        occupied = 0
+        for frame, baddr in enumerate(addrs):
+            if baddr < 0:
+                continue
+            occupied += 1
+            index, pos = divmod(frame, self._assoc)
+            if self._where.get(baddr) != pos:
+                raise SimulationError(f"set {index} position {pos} mismatch")
+            if self._set_of(baddr) != index:
+                raise SimulationError(f"block {baddr:#x} in wrong set")
+        if len(self._where) != occupied:
+            raise SimulationError(
+                f"{len(self._where)} mapped blocks but {occupied} occupied ways"
+            )

@@ -10,8 +10,11 @@ levels whose partial tags match the request:
 * matching levels → candidates to probe (ss-energy); a candidate whose
   full tag then mismatches is a *false hit*.
 
-The array mirrors the banks' contents, so the cache informs it of
-every insert, removal, and level change.
+As a standalone model the array mirrors the banks' contents through
+``insert``/``remove``/``move``.  :class:`~repro.nuca.cache.DNUCACache`
+keeps only its lookup counters here: its flat frames already hold
+every resident block at its level, so it reads the partial tags off
+them instead of keeping a second copy.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ class SmartSearchArray:
         self.partial_bits = partial_bits
         self.block_bytes = block_bytes
         self._mask = (1 << partial_bits) - 1
-        #: per set: block address -> level (mirrors bank residency);
-        #: partial tags are recomputed from addresses on lookup, which
-        #: models the hardware's stored copies exactly.
-        self._entries: List[Dict[int, int]] = [dict() for _ in range(n_sets)]
+        #: set -> {block address -> level}, created on a set's first
+        #: insert; partial tags are recomputed from addresses on lookup,
+        #: which models the hardware's stored copies exactly.
+        self._entries: Dict[int, Dict[int, int]] = {}
         self.lookups = 0
         self.false_hits = 0
 
@@ -50,11 +53,11 @@ class SmartSearchArray:
 
     def insert(self, index: int, block_addr: int, level: int) -> None:
         self._check(index, level)
-        self._entries[index][block_addr] = level
+        self._entries.setdefault(index, {})[block_addr] = level
 
     def remove(self, index: int, block_addr: int) -> None:
         try:
-            del self._entries[index][block_addr]
+            del self._entries.get(index, {})[block_addr]
         except KeyError:
             raise SimulationError(
                 f"ss-array remove of absent block {block_addr:#x}"
@@ -62,7 +65,7 @@ class SmartSearchArray:
 
     def move(self, index: int, block_addr: int, level: int) -> None:
         self._check(index, level)
-        if block_addr not in self._entries[index]:
+        if block_addr not in self._entries.get(index, {}):
             raise SimulationError(f"ss-array move of absent block {block_addr:#x}")
         self._entries[index][block_addr] = level
 
@@ -76,7 +79,7 @@ class SmartSearchArray:
         want = self.partial_tag(block_addr)
         levels = {
             level
-            for resident, level in self._entries[index].items()
+            for resident, level in self._entries.get(index, {}).items()
             if self.partial_tag(resident) == want
         }
         return sorted(levels)

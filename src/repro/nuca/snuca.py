@@ -238,6 +238,10 @@ class SNUCACache:
                 ),
             )
 
+    def resident_addresses(self):
+        """Every resident block address (census of the shared LLC)."""
+        return (baddr for tag_set in self._sets for baddr in tag_set)
+
     def reset_stats(self) -> None:
         self.stats.reset()
         self.dgroup_hits = Distribution()

@@ -23,7 +23,6 @@ how the paper's reduced-bandwidth argument is evaluated (§5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
     from repro.faults.models import FaultPlan, HardFaultEvent
     from repro.telemetry import CacheTelemetry
 from repro.common import prewarm_cache
-from repro.common.lru import LRUPolicy
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
@@ -83,12 +81,19 @@ _PACK_BELOW_PENDING = (1 << _PACK_PENDING_SHIFT) - 1
 
 @dataclass
 class _PrewarmSnapshot:
-    """Post-prewarm container state (see :mod:`repro.common.prewarm_cache`)."""
+    """Post-prewarm container state (see :mod:`repro.common.prewarm_cache`).
 
-    tags: List[Dict[int, int]]
-    lru: List[object]
+    Flat lists and one dict, restored by slice assignment and a dict
+    clone.
+    """
+
+    addrs: List[int]
+    entries: List[int]
+    stamps: List[int]
+    clock: int
+    where: Dict[int, int]
     stores: List[Tuple[List[Optional[int]], List[List[int]]]]
-    replacer: List[List[object]]
+    replacer: tuple
 
 
 class NuRAPIDCache:
@@ -126,16 +131,28 @@ class NuRAPIDCache:
         self._block_mask = ~(config.block_bytes - 1)
         self._set_shift = config.block_bytes.bit_length() - 1
         self._set_mask = self._n_sets - 1
-        #: Per-set tag array: block address -> packed entry int.
-        self._tags: List[Dict[int, int]] = [dict() for _ in range(config.n_sets)]
-        self._data_lru: List[LRUPolicy] = [LRUPolicy() for _ in range(config.n_sets)]
-        self._stores = [
-            FrameStore(config.frames_per_dgroup, config.n_regions)
-            for _ in range(config.n_dgroups)
-        ]
+        #: Tag-side residency limit per set: the configured
+        #: associativity, raised by variants with more data frames than
+        #: tag ways per set (compressed d-groups).
+        self._assoc_limit = self._tag_ways()
+        # The tag array, flat: slot = set * _assoc_limit + way.  A slot
+        # holds its block address (-1 = free way), packed entry, and
+        # data-LRU stamp (-1 = free).  Stamps come from one clock that
+        # ticks on every insert and hit, so a set's minimum stamp is its
+        # LRU block — or a free way, which placement takes first.
+        n_slots = config.n_sets * self._assoc_limit
+        self._addrs: List[int] = [-1] * n_slots
+        self._entries: List[int] = [0] * n_slots
+        self._stamps: List[int] = [-1] * n_slots
+        self._clock = 0
+        #: Cache-wide block address -> slot (the associative tag match;
+        #: a block address determines its set).
+        self._where: Dict[int, int] = {}
+        frames = self._dgroup_frames()
+        self._stores = [FrameStore(n, config.n_regions) for n in frames]
         rng = DeterministicRNG(config.seed, f"{config.name}/distance")
         self._replacer = DistanceReplacer(
-            config.n_dgroups, config.n_regions, config.distance_replacement, rng
+            frames, config.n_regions, config.distance_replacement, rng
         )
         self.port = PortScheduler(f"{config.name}.port")
 
@@ -193,17 +210,19 @@ class NuRAPIDCache:
             for i in groups
         ]
         self._n_regions = self.config.n_regions
-        self._rtouch = [
-            [policy.touch for policy in row] for row in self._replacer._policies
-        ]
+        self._rtouch = self._replacer.touchers()
         self._ideal_uniform = self.config.ideal_uniform
         self._promo_on = self.config.promotion is not PromotionPolicy.DEMOTION_ONLY
         self._promo_next = self.config.promotion is PromotionPolicy.NEXT_FASTEST
         self._hysteresis = self.config.promotion_hysteresis
-        #: Tag-side residency limit per set.  Equals the configured
-        #: associativity here; variant caches with more data frames
-        #: than tag ways per set (compressed d-groups) raise it.
-        self._assoc_limit = self.config.associativity
+
+    def _tag_ways(self) -> int:
+        """Tag ways per set (hook for variants with enlarged d-groups)."""
+        return self.config.associativity
+
+    def _dgroup_frames(self) -> List[int]:
+        """Data frames per d-group, fastest first (hook for variants)."""
+        return [self.config.frames_per_dgroup] * self.config.n_dgroups
 
     # --- fault injection (opt-in) ---
 
@@ -251,9 +270,10 @@ class NuRAPIDCache:
     def lookup(self, address: int) -> Optional[TagEntry]:
         """Tag-entry snapshot for ``address`` if resident (no side effects)."""
         baddr = block_address(address, self.block_bytes)
-        packed = self._tags[self._set_of(address)].get(baddr)
-        if packed is None:
+        slot = self._where.get(baddr)
+        if slot is None:
             return None
+        packed = self._entries[slot]
         return TagEntry(
             block_addr=baddr,
             dirty=bool(packed & _PACK_DIRTY),
@@ -263,16 +283,13 @@ class NuRAPIDCache:
         )
 
     def contains(self, address: int) -> bool:
-        baddr = block_address(address, self.block_bytes)
-        return baddr in self._tags[self._set_of(address)]
+        return block_address(address, self.block_bytes) in self._where
 
     def dgroup_of(self, address: int) -> Optional[int]:
-        packed = self._tags[self._set_of(address)].get(
-            block_address(address, self.block_bytes)
-        )
-        if packed is None:
+        slot = self._where.get(block_address(address, self.block_bytes))
+        if slot is None:
             return None
-        return (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
+        return (self._entries[slot] >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
 
     # --- the access path ---
 
@@ -282,16 +299,14 @@ class NuRAPIDCache:
             for event in self.fault_injector.take_due_hard_faults():
                 self._apply_hard_fault(event)
         baddr = address & self._block_mask
-        index = (address >> self._set_shift) & self._set_mask
-        tag_set = self._tags[index]
-        packed = tag_set.get(baddr)
+        slot = self._where.get(baddr)
         sc = self._scounts
         sc["accesses"] = sc.get("accesses", 0) + 1
         ec = self._ecounts
         ec[self._k_tag] += 1
         energy = self._tag_cost
 
-        if packed is None:
+        if slot is None:
             # Sequential tag-data access: the (pipelined) tag probe
             # alone determines a miss; the data port is never touched.
             if self.fault_injector is not None:
@@ -306,6 +321,8 @@ class NuRAPIDCache:
                 energy_nj=energy,
             )
 
+        entries = self._entries
+        packed = entries[slot]
         group = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
         if self.fault_injector is not None:
             # May raise UncorrectableDataError for a dirty-line DUE;
@@ -344,10 +361,13 @@ class NuRAPIDCache:
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         if is_write:
             packed |= _PACK_DIRTY
-            tag_set[baddr] = packed
+            entries[slot] = packed
 
-        self._data_lru[index].touch(baddr)
-        self._rtouch[group][index % self._n_regions](packed & _PACK_FRAME_MASK)
+        self._clock += 1
+        self._stamps[slot] = self._clock
+        self._rtouch[group][
+            ((address >> self._set_shift) & self._set_mask) % self._n_regions
+        ](packed & _PACK_FRAME_MASK)
 
         if self._ideal_uniform:
             latency: float = self._ideal_lat
@@ -380,11 +400,11 @@ class NuRAPIDCache:
                 packed &= _PACK_DIRTY | _PACK_FRAME_MASK | (
                     _PACK_DGROUP_MASK << _PACK_DGROUP_SHIFT
                 )
-                tag_set[baddr] = packed
+                entries[slot] = packed
                 target = group - 1 if self._promo_next else 0
-                self._promote(index, baddr, packed, target, done)
+                self._promote(slot, baddr, packed, target, done)
             else:
-                tag_set[baddr] = (
+                entries[slot] = (
                     (packed & _PACK_BELOW_PENDING) | (pending << _PACK_PENDING_SHIFT)
                 )
 
@@ -406,12 +426,12 @@ class NuRAPIDCache:
     # --- promotion (swap with a distance-replacement victim) ---
 
     def _promote(
-        self, index: int, baddr: int, packed: int, target: int, now: float
+        self, slot: int, baddr: int, packed: int, target: int, now: float
     ) -> None:
         """Move ``baddr`` to ``target``, swapping with a victim if full.
 
-        ``packed`` is the block's current tag entry (pending hits
-        already cleared by the caller and stored back).
+        ``packed`` is the block's current tag entry in ``slot`` (pending
+        hits already cleared by the caller and stored back).
         """
         source = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
         if target >= source:
@@ -441,7 +461,7 @@ class NuRAPIDCache:
             self._replacer.remove(source, region, old_frame)
             new_frame = self._stores[target].allocate(baddr, region)
             self._replacer.insert(target, region, new_frame)
-            self._tags[index][baddr] = (
+            self._entries[slot] = (
                 new_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
             )
             self._charge_move(source, target, now)
@@ -451,20 +471,19 @@ class NuRAPIDCache:
         victim_addr = self._stores[target].occupant(victim_frame)
         if victim_addr is None:
             raise SimulationError("distance victim frame is unexpectedly free")
-        victim_set = self._tags[self._set_of(victim_addr)]
+        victim_slot = self._where[victim_addr]
 
         # Swap occupants; both frames stay occupied.  The demoted
         # victim keeps its dirty bit but restarts promotion hysteresis.
         self._stores[target].replace(victim_frame, baddr)
         self._stores[source].replace(old_frame, victim_addr)
-        victim_set[victim_addr] = (
+        entries = self._entries
+        entries[victim_slot] = (
             old_frame
             | (source << _PACK_DGROUP_SHIFT)
-            | (victim_set[victim_addr] & _PACK_DIRTY)
+            | (entries[victim_slot] & _PACK_DIRTY)
         )
-        self._tags[index][baddr] = (
-            victim_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
-        )
+        entries[slot] = victim_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
 
         # Recency: the promoted block is MRU in its new group; the
         # demoted victim enters the slower group as a fresh arrival.
@@ -506,19 +525,26 @@ class NuRAPIDCache:
         frame absorbs it.
         """
         baddr = address & self._block_mask
-        index = (address >> self._set_shift) & self._set_mask
-        resident = self._tags[index]
-        if baddr in resident:
+        where = self._where
+        if baddr in where:
             return 0
+        index = (address >> self._set_shift) & self._set_mask
         region = index % self._n_regions
         sc = self._scounts
         sc["fills"] = sc.get("fills", 0) + 1
 
+        # The set's minimum stamp is a free way if it has one, else its
+        # LRU block; either way the new block takes that slot.
         writebacks = 0
-        set_evicted = len(resident) >= self._assoc_limit
-        if set_evicted:
-            victim_addr = self._data_lru[index].pop_victim()
-            victim = resident.pop(victim_addr)
+        base = index * self._assoc_limit
+        stamps = self._stamps
+        row = stamps[base : base + self._assoc_limit]
+        slot = base + row.index(min(row))
+        addrs = self._addrs
+        victim_addr = addrs[slot]
+        if victim_addr >= 0:
+            victim = self._entries[slot]
+            del where[victim_addr]
             victim_group = (victim >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
             self._stores[victim_group].release(victim & _PACK_FRAME_MASK)
             self._replacer.remove(victim_group, region, victim & _PACK_FRAME_MASK)
@@ -544,6 +570,15 @@ class NuRAPIDCache:
             # is not, so make room by evicting a distance victim.
             writebacks += self._evict_for_space(region)
 
+        # The new block's tag entry: clean, no pending hits, most
+        # recently used; the demotion chain below points it at a frame.
+        addrs[slot] = baddr
+        where[baddr] = slot
+        self._clock += 1
+        stamps[slot] = self._clock
+        entries = self._entries
+        entries[slot] = 0
+
         # Demotion chain: push occupants outward until a free frame.
         group = start = self._fill_start_group(baddr)
         if start:
@@ -552,7 +587,7 @@ class NuRAPIDCache:
             # space in the reachable tail first (no-op in the base).
             writebacks += self._ensure_chain_space(region, start)
         incoming = baddr
-        incoming_packed: Optional[int] = None  # created below for baddr
+        incoming_slot = slot
         while not self._stores[group].has_free(region):
             if (
                 self.fault_injector is not None
@@ -570,9 +605,8 @@ class NuRAPIDCache:
             demoted_addr = self._stores[group].replace(frame, incoming)
             self._replacer.remove(group, region, frame)
             self._replacer.insert(group, region, frame)
-            self._settle(incoming, incoming_packed, group, frame)
-            demoted_packed = self._tags[self._set_of(demoted_addr)][demoted_addr]
-            incoming, incoming_packed = demoted_addr, demoted_packed
+            self._settle(incoming_slot, group, frame)
+            incoming, incoming_slot = demoted_addr, where[demoted_addr]
             group += 1
             if group >= self.config.n_dgroups:
                 raise SimulationError(
@@ -587,18 +621,16 @@ class NuRAPIDCache:
             self._charge_move(group - 1, group, now, occupy=False)
         frame = self._stores[group].allocate(incoming, region)
         self._replacer.insert(group, region, frame)
-        self._settle(incoming, incoming_packed, group, frame)
+        self._settle(incoming_slot, group, frame)
 
         # The new block's own fill write into its entry d-group (fill
         # buffer; no demand-port occupancy).
         self._ecounts[self._k_dg_write[start]] += 1
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
 
-        packed = self._tags[index].get(baddr)
-        if packed is None:
-            raise SimulationError("fill finished without installing the block")
+        packed = entries[slot]
         if dirty:
-            self._tags[index][baddr] = packed | _PACK_DIRTY
+            entries[slot] = packed | _PACK_DIRTY
         if self.telemetry is not None:
             self.telemetry.event(
                 "placement",
@@ -617,28 +649,15 @@ class NuRAPIDCache:
         """
         return 0
 
-    def _settle(
-        self,
-        block_addr: int,
-        packed: Optional[int],
-        dgroup: int,
-        frame: int,
-    ) -> None:
-        """Point a block's tag entry at its (possibly new) frame.
+    def _settle(self, slot: int, dgroup: int, frame: int) -> None:
+        """Point the tag entry in ``slot`` at its (possibly new) frame.
 
-        ``packed`` is None exactly for the incoming block on its first
-        placement, in which case the tag entry is created here (clean,
-        no pending hits).  A relocated block keeps its dirty bit but
-        restarts promotion hysteresis.
+        The block keeps its dirty bit but restarts promotion hysteresis.
         """
-        index = self._set_of(block_addr)
-        if packed is None:
-            self._tags[index][block_addr] = frame | (dgroup << _PACK_DGROUP_SHIFT)
-            self._data_lru[index].insert(block_addr)
-        else:
-            self._tags[index][block_addr] = (
-                frame | (dgroup << _PACK_DGROUP_SHIFT) | (packed & _PACK_DIRTY)
-            )
+        entries = self._entries
+        entries[slot] = (
+            frame | (dgroup << _PACK_DGROUP_SHIFT) | (entries[slot] & _PACK_DIRTY)
+        )
 
     # --- fault handling: invalidation, capacity eviction, retirement ---
 
@@ -655,9 +674,11 @@ class NuRAPIDCache:
         addr = store.occupant(frame)
         if addr is None:
             raise SimulationError(f"invalidate of free frame {frame} in dg{dgroup}")
-        index = self._set_of(addr)
-        packed = self._tags[index].pop(addr)
-        self._data_lru[index].remove(addr)
+        slot = self._where.pop(addr)
+        packed = self._entries[slot]
+        self._addrs[slot] = -1
+        self._entries[slot] = 0
+        self._stamps[slot] = -1
         store.release(frame)
         self._replacer.remove(dgroup, self._region_of(addr), frame)
         return packed
@@ -777,54 +798,41 @@ class NuRAPIDCache:
         sets = self.config.n_sets
         n_regions = self.config.n_regions
         bb = self.block_bytes
-        base = self.PREWARM_BASE
+        limit = self._assoc_limit
+        n_slots = sets * limit
+        addrs = np.full(n_slots, -1, dtype=np.int64)
+        entries = np.zeros(n_slots, dtype=np.int64)
+        stamps = np.full(n_slots, -1, dtype=np.int64)
 
         # Bulk equivalent of the block-at-a-time loop (for index, for
         # way: allocate + insert + tag + LRU-insert).  Frames come off
         # each region's free-list tail, so the per-(group, region)
         # allocation order below — set index ascending, way ascending —
         # reproduces the exact same frame assignment and policy order;
-        # allocate_run/insert_many are one-call equivalents.
+        # allocate_run/insert_many are one-call equivalents.  Dummy way
+        # ``w`` of set ``i`` is ``PREWARM_BASE + (w * sets + i) * bb`` in
+        # slot ``i * limit + w``, and dummies enter the data LRU
+        # way-ascending, so their stamps ascend way by way.
         way_base = 0
         for group in range(n_dgroups):
-            ways_per_group = ways_by_group[group]
-            ways = np.arange(way_base, way_base + ways_per_group)
-            way_base += ways_per_group
+            ways = np.arange(way_base, way_base + ways_by_group[group])
+            way_base += ways_by_group[group]
             group_bits = group << _PACK_DGROUP_SHIFT
             for region in range(n_regions):
-                indices = range(region, sets, n_regions)
-                # base + (way*sets + index)*bb, index-major way-minor,
-                # materialized in one C pass.
-                blocks = (
-                    base
-                    + (
-                        np.arange(region, sets, n_regions, dtype=np.int64)[:, None]
-                        + ways[None, :] * sets
-                    )
-                    * bb
-                ).ravel().tolist()
-                frames = self._stores[group].allocate_run(blocks, region)
+                index = np.arange(region, sets, n_regions, dtype=np.int64)[:, None]
+                slots = (index * limit + ways[None, :]).ravel()
+                blocks = self.PREWARM_BASE + (index + ways[None, :] * sets).ravel() * bb
+                frames = self._stores[group].allocate_run(blocks.tolist(), region)
                 self._replacer.insert_many(group, region, frames)
-                packed = [f | group_bits for f in frames]
-                it_b = iter(blocks)
-                it_p = iter(packed)
-                for index in indices:
-                    self._tags[index].update(
-                        zip(islice(it_b, ways_per_group), islice(it_p, ways_per_group))
-                    )
-        # Per-set data LRU: dummies way-ascending, as the original
-        # per-way loop inserted them.
-        rows = (
-            base
-            + (
-                np.arange(sets, dtype=np.int64)[:, None]
-                + np.arange(way_base, dtype=np.int64)[None, :] * sets
-            )
-            * bb
-        ).tolist()
-        data_lru = self._data_lru
-        for index, row in enumerate(rows):
-            data_lru[index].insert_many(row)
+                addrs[slots] = blocks
+                entries[slots] = np.asarray(frames, dtype=np.int64) | group_bits
+                stamps[slots] = self._clock + 1 + (slots % limit)
+        filled = np.flatnonzero(addrs >= 0)
+        self._addrs[:] = addrs.tolist()
+        self._entries[:] = entries.tolist()
+        self._stamps[:] = stamps.tolist()
+        self._where.update(zip(addrs[filled].tolist(), filled.tolist()))
+        self._clock += way_base
         if key is not None:
             prewarm_cache.put(key, self._prewarm_snapshot())
 
@@ -838,32 +846,36 @@ class NuRAPIDCache:
 
     def _prewarm_snapshot(self) -> "_PrewarmSnapshot":
         return _PrewarmSnapshot(
-            tags=[dict(t) for t in self._tags],
-            lru=[p.state_copy() for p in self._data_lru],
+            addrs=list(self._addrs),
+            entries=list(self._entries),
+            stamps=list(self._stamps),
+            clock=self._clock,
+            where=dict(self._where),
             stores=[
                 (list(s._resident), [list(f) for f in s._free])
                 for s in self._stores
             ],
-            replacer=[
-                [p.state_copy() for p in row] for row in self._replacer._policies
-            ],
+            replacer=self._replacer.snapshot(),
         )
 
     def _prewarm_restore(self, proto: "_PrewarmSnapshot") -> None:
-        """Install a prototype (copying — prototypes never alias).
+        """Install a prototype by copying it into the live containers.
 
-        Policy objects are mutated in place rather than replaced: the
-        hot-path ``_rtouch`` table caches their bound methods.
+        Everything is assigned in place (slice copies and a dict
+        clone), so prototypes never alias live state and the hot-path
+        views — ``_rtouch``'s bound selectors among them — stay valid.
         """
-        self._tags = [dict(t) for t in proto.tags]
-        for policy, state in zip(self._data_lru, proto.lru):
-            policy.load_state(state)
+        self._addrs[:] = proto.addrs
+        self._entries[:] = proto.entries
+        self._stamps[:] = proto.stamps
+        self._clock = proto.clock
+        self._where.clear()
+        self._where.update(proto.where)
         for store, (resident, free) in zip(self._stores, proto.stores):
-            store._resident = list(resident)
-            store._free = [list(f) for f in free]
-        for row, saved in zip(self._replacer._policies, proto.replacer):
-            for policy, state in zip(row, saved):
-                policy.load_state(state)
+            store._resident[:] = resident
+            for live, saved in zip(store._free, free):
+                live[:] = saved
+        self._replacer.restore(proto.replacer)
 
     def _prewarm_ways(self) -> List[int]:
         """Dummy ways to fill per d-group (hook for variant caches).
@@ -894,7 +906,11 @@ class NuRAPIDCache:
         return self.stats.get("misses") / total
 
     def resident_blocks(self) -> int:
-        return sum(len(s) for s in self._tags)
+        return len(self._where)
+
+    def resident_addresses(self):
+        """Every resident block address (census of the shared LLC)."""
+        return iter(self._where)
 
     def check_invariants(self) -> None:
         """Cross-check tags, frames, pointers, and policies.
@@ -902,15 +918,25 @@ class NuRAPIDCache:
         O(capacity); intended for tests, not the hot loop.
         """
         resident = 0
-        for index, tag_set in enumerate(self._tags):
-            if len(tag_set) > self._assoc_limit:
-                raise SimulationError(f"set {index} over associativity")
-            if len(self._data_lru[index]) != len(tag_set):
-                raise SimulationError(f"set {index} LRU/tag size mismatch")
-            for baddr, packed in tag_set.items():
+        limit = self._assoc_limit
+        for index in range(self._n_sets):
+            stamps = set()
+            for slot in range(index * limit, (index + 1) * limit):
+                baddr = self._addrs[slot]
+                stamp = self._stamps[slot]
+                if baddr < 0:
+                    if stamp != -1 or self._entries[slot]:
+                        raise SimulationError(f"set {index} free way {slot} not clear")
+                    continue
                 resident += 1
+                if self._where.get(baddr) != slot:
+                    raise SimulationError(f"block {baddr:#x} tag map disagrees")
+                if not 0 <= stamp <= self._clock or stamp in stamps:
+                    raise SimulationError(f"set {index} LRU stamp {stamp} invalid")
+                stamps.add(stamp)
                 if self._set_of(baddr) != index:
                     raise SimulationError(f"block {baddr:#x} in wrong set")
+                packed = self._entries[slot]
                 dgroup = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
                 frame = packed & _PACK_FRAME_MASK
                 occupant = self._stores[dgroup].occupant(frame)
@@ -921,6 +947,10 @@ class NuRAPIDCache:
                 region = self._region_of(baddr)
                 if self._stores[dgroup].region_of_frame(frame) != region:
                     raise SimulationError(f"block {baddr:#x} outside its region")
+        if len(self._where) != resident:
+            raise SimulationError(
+                f"{len(self._where)} mapped blocks but {resident} occupied ways"
+            )
         for store in self._stores:
             store.check_invariants()
         occupied = sum(store.occupied_count for store in self._stores)

@@ -34,7 +34,6 @@ from repro.nurapid.cache import (
     _PACK_FRAME_MASK,
 )
 from repro.nurapid.config import NuRAPIDConfig
-from repro.nurapid.pointers import FrameStore
 from repro.workloads.interleave import CORE_ADDR_SHIFT, MAX_CORES
 
 #: Fixed 64-bit multiplicative hash (golden-ratio constant) mapping a
@@ -67,22 +66,15 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
             raise ConfigurationError(
                 "compressed NuRAPID requires associativity divisible by d-groups"
             )
-        super().__init__(config, geometry=geometry, energy=energy)
-        self.compression = compression
-        ratio = compression.ratio
-        k = compression.compressed_dgroups
-        self._compressed_groups = k
-        expanded = config.frames_per_dgroup * ratio
+        expanded = config.frames_per_dgroup * compression.ratio
         if expanded > _PACK_FRAME_MASK:
             raise ConfigurationError(
                 f"compressed d-group of {expanded} frames overflows packed tags"
             )
-        for group in range(k):
-            self._stores[group] = FrameStore(expanded, config.n_regions)
-        ways_per_group = config.associativity // config.n_dgroups
-        self._assoc_limit = (
-            config.associativity + k * ways_per_group * (ratio - 1)
-        )
+        # The shape hooks below read these during the base constructor.
+        self.compression = compression
+        k = self._compressed_groups = compression.compressed_dgroups
+        super().__init__(config, geometry=geometry, energy=energy)
         for group in range(k):
             self._data_cycles[group] = (
                 self._data_cycles[group] + compression.decompression_cycles
@@ -112,6 +104,22 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
             thresholds[core] = _share_threshold(share)
         self._core_thresholds = thresholds
 
+    # --- shape hooks: enlarged compressed d-groups ---
+
+    def _tag_ways(self) -> int:
+        ways_per_group = self.config.associativity // self.config.n_dgroups
+        return self.config.associativity + (
+            self._compressed_groups * ways_per_group * (self.compression.ratio - 1)
+        )
+
+    def _dgroup_frames(self) -> List[int]:
+        frames = self.config.frames_per_dgroup
+        return [
+            frames * self.compression.ratio if group < self._compressed_groups
+            else frames
+            for group in range(self.config.n_dgroups)
+        ]
+
     # --- the synthetic compressibility model ---
 
     def is_compressible(self, baddr: int) -> bool:
@@ -137,7 +145,7 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
         return self._compressed_groups
 
     def _promote(
-        self, index: int, baddr: int, packed: int, target: int, now: float
+        self, slot: int, baddr: int, packed: int, target: int, now: float
     ) -> None:
         if target < self._compressed_groups and not self.is_compressible(baddr):
             target = self._compressed_groups
@@ -150,7 +158,7 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
                     sc.get("compression_promotions_blocked", 0) + 1
                 )
                 return
-        super()._promote(index, baddr, packed, target, now)
+        super()._promote(slot, baddr, packed, target, now)
 
     def _ensure_chain_space(self, region: int, start: int) -> int:
         """Evict when the uncompressed tail of the region is full.
@@ -204,13 +212,10 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        for tag_set in self._tags:
-            for baddr, packed in tag_set.items():
-                dgroup = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
-                if dgroup < self._compressed_groups and not self.is_compressible(
-                    baddr
-                ):
-                    raise SimulationError(
-                        f"incompressible block {baddr:#x} resident in "
-                        f"compressed d-group {dgroup}"
-                    )
+        for baddr, slot in self._where.items():
+            dgroup = (self._entries[slot] >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
+            if dgroup < self._compressed_groups and not self.is_compressible(baddr):
+                raise SimulationError(
+                    f"incompressible block {baddr:#x} resident in "
+                    f"compressed d-group {dgroup}"
+                )

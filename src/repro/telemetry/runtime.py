@@ -22,6 +22,9 @@ Counters used by the resilience layer:
 * ``checkpoint.record_rejected`` — cells dropped by a per-record checksum
 * ``trace_cache.corrupt_recovered`` — cache entries regenerated after a
   failed load or checksum mismatch
+* ``prewarm.builds`` / ``prewarm.restores`` — cache prewarms that ran
+  the full fill versus restored a shared prototype
+  (:mod:`repro.common.prewarm_cache`)
 
 Counters used by the simulation service (:mod:`repro.service`):
 

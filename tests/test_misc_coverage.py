@@ -1,9 +1,12 @@
 """Coverage for smaller corners: replacer, results table, hierarchy
 writeback edge cases, cacti organization geometry."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.lru import make_policy
 from repro.common.rng import DeterministicRNG
 from repro.nurapid.config import DistanceReplacementKind
 from repro.nurapid.replacement import DistanceReplacer
@@ -15,7 +18,8 @@ KB = 1024
 
 class TestDistanceReplacer:
     def _replacer(self, kind=DistanceReplacementKind.LRU):
-        return DistanceReplacer(2, 2, kind, DeterministicRNG(1, "dr"))
+        # Two d-groups of 128 frames, each split into two regions.
+        return DistanceReplacer([128, 128], 2, kind, DeterministicRNG(1, "dr"))
 
     def test_tracks_per_dgroup_and_region(self):
         r = self._replacer()
@@ -54,6 +58,54 @@ class TestDistanceReplacer:
             r.insert(0, 5, 1)
         with pytest.raises(SimulationError):
             r.remove(0, 0, 99)
+
+
+    @pytest.mark.parametrize("kind", list(DistanceReplacementKind))
+    def test_matches_the_generic_reference_policies(self, kind):
+        """The flat frame-indexed selectors choose exactly what the
+        generic :mod:`repro.common.lru` policies choose, op for op."""
+        seed = DeterministicRNG(5, "ref")
+        flat = DistanceReplacer([64, 64], 2, kind, seed)
+        reference = [
+            [make_policy(kind.value, seed.spawn(f"dg{g}/r{r}")) for r in range(2)]
+            for g in range(2)
+        ]
+        driver = random.Random(kind.value)
+        for _ in range(4000):
+            g, r = driver.randrange(2), driver.randrange(2)
+            policy = reference[g][r]
+            frame = r * 32 + driver.randrange(32)
+            op = driver.random()
+            if frame not in policy:
+                flat.insert(g, r, frame)
+                policy.insert(frame)
+            elif op < 0.3:
+                flat.touch(g, r, frame)
+                policy.touch(frame)
+            elif op < 0.5:
+                flat.remove(g, r, frame)
+                policy.remove(frame)
+            else:
+                # The cache's demotion step: pick, then re-track as MRU.
+                victim = flat.select_victim(g, r)
+                assert victim == policy.victim()
+                flat.remove(g, r, victim)
+                flat.insert(g, r, victim)
+                policy.remove(victim)
+                policy.insert(victim)
+            assert flat.tracked(g, r) == len(policy)
+
+    def test_snapshot_restores_in_place(self):
+        r = self._replacer(DistanceReplacementKind.RANDOM)
+        for f in range(10):
+            r.insert(0, 0, f)
+        saved = r.snapshot()
+        touch = r.touchers()[0][0]
+        r.remove(0, 0, 3)
+        r.restore(saved)
+        assert r.tracked(0, 0) == 10
+        touch(3)  # bound selectors survive a restore
+        assert r.snapshot() == saved
 
 
 class TestResultsFormatting:

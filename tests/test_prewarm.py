@@ -1,5 +1,6 @@
 """Prewarm: the steady-state initial condition for all cache models."""
 
+import copy
 import json
 from dataclasses import replace
 
@@ -7,10 +8,15 @@ import pytest
 
 from repro.cmp.config import CmpConfig, CompressionConfig
 from repro.common import prewarm_cache
-from repro.common.errors import SimulationError
+from repro.common.errors import SimulationError, UncorrectableDataError
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
-from repro.floorplan.dgroups import build_nurapid_geometry, build_uniform_cache_spec
+from repro.faults import FaultPlan, HardFaultEvent
+from repro.floorplan.dgroups import (
+    build_dnuca_geometry,
+    build_nurapid_geometry,
+    build_uniform_cache_spec,
+)
 from repro.nuca.cache import DNUCACache
 from repro.nuca.config import DNUCAConfig
 from repro.nurapid.cache import NuRAPIDCache
@@ -25,6 +31,7 @@ from repro.sim.config import (
 )
 from repro.sim.driver import make_system, run_benchmark
 from repro.sim.results import run_result_to_dict
+from repro.telemetry import reset_runtime_registry, runtime_counters
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.tracegen import generate_trace
 
@@ -148,7 +155,7 @@ class TestSAPlacementPrewarm:
         c.prewarm()
         c.check_invariants()
         # Every way of set 0 is occupied.
-        assert len(c._where[0]) == 4
+        assert all(addr >= 0 for addr in c._addrs[:4])
 
     def test_prewarm_tops_up_a_partly_filled_cache(self):
         c = SetAssociativePlacementCache(
@@ -159,7 +166,7 @@ class TestSAPlacementPrewarm:
         c.prewarm()
         c.check_invariants()
         assert c.contains(0x1000)
-        assert sum(len(w) for w in c._where) == 64 * KB // 64
+        assert len(c._where) == 64 * KB // 64
 
 
 # --- prototype registry parity (repro.common.prewarm_cache) ---
@@ -193,9 +200,12 @@ def _plain(value):
     return value
 
 
-#: Containers prewarm fills, across every registry user.
+#: Containers prewarm fills, across every registry user.  NuRAPID's
+#: flat tag array is ``_addrs``/``_entries``/``_stamps``/``_clock`` plus
+#: the cache-wide ``_where``; D-NUCA's and SA-NUCA's ``_where`` is
+#: cache-wide too.
 _STATE_ATTRS = (
-    "_tags", "_stamps", "_dirty", "_clock", "_sets", "_lru", "_data_lru",
+    "_tags", "_stamps", "_dirty", "_clock", "_sets", "_lru", "_entries",
     "_addrs", "_touch", "_where",
 )
 
@@ -210,9 +220,7 @@ def _state(system):
             fields["_stores"] = [
                 (list(s._resident), _plain(s._free)) for s in cache._stores
             ]
-            fields["_replacer"] = _plain(cache._replacer._policies)
-        if hasattr(cache, "smart_search"):
-            fields["ss"] = _plain(cache.smart_search._entries)
+            fields["_replacer"] = _plain(cache._replacer.snapshot())
         assert fields, f"no prewarm state found on {type(cache).__name__}"
         out.append((type(cache).__name__, fields))
     return out
@@ -279,3 +287,85 @@ class TestPrototypeRegistryParity:
                 make_system(dnuca_config(policy=policy, tail_insertion=tail, seed=5))
         assert len(prewarm_cache._snapshots) == 1
         prewarm_cache.clear()
+
+
+class TestPrewarmCounters:
+    def test_builds_and_restores_are_counted(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PREWARM_CACHE", "1")
+        prewarm_cache.clear()
+        reset_runtime_registry()
+        make_system(nurapid_config())
+        cold = runtime_counters()
+        assert cold.get("prewarm.builds") == 1
+        assert "prewarm.restores" not in cold
+        make_system(nurapid_config())
+        make_system(nurapid_config(seed=4))  # another prototype key
+        warm = runtime_counters()
+        assert warm["prewarm.builds"] == 2
+        assert warm["prewarm.restores"] == 1
+        prewarm_cache.clear()
+
+    def test_disabled_registry_counts_every_build(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PREWARM_CACHE", "0")
+        reset_runtime_registry()
+        for _ in range(2):
+            make_system(dnuca_config())
+        counters = runtime_counters()
+        assert counters["prewarm.builds"] == 2
+        assert "prewarm.restores" not in counters
+
+
+def _shared_specs(system):
+    """Every memoized spec or geometry a system's caches hold."""
+    out = [system.l1d.spec, system.l1i.spec]
+    for level in system.lower:
+        cache = getattr(level, "cache", level)
+        out.append(getattr(cache, "geometry", None) or cache.spec)
+    return out
+
+
+class TestMemoizedBuilders:
+    def test_same_arguments_share_one_object(self):
+        assert build_nurapid_geometry(n_dgroups=4) is build_nurapid_geometry(n_dgroups=4)
+        assert build_dnuca_geometry() is build_dnuca_geometry()
+        assert build_uniform_cache_spec("u", 8 * KB, 64, 2) is build_uniform_cache_spec(
+            "u", 8 * KB, 64, 2
+        )
+        first, second = make_system(nurapid_config()), make_system(dnuca_config())
+        assert first.l1d.spec is second.l1d.spec
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            nurapid_config(
+                faults=FaultPlan(
+                    transient_per_access=0.02,
+                    max_upset_bits=48,
+                    interleave_subarrays=1,
+                    hard_faults=(
+                        HardFaultEvent(at_access=200, dgroup=0, subarray=1),
+                        HardFaultEvent(at_access=400, dgroup=1, subarray=0),
+                    ),
+                    data_subarrays_per_dgroup=4,
+                    spare_subarrays_per_dgroup=0,
+                    seed=2,
+                )
+            ),
+            REGISTRY_CONFIGS[1],
+            dnuca_config(policy=SearchPolicy.SS_ENERGY),
+            sa_nuca_config(),
+            snuca_config(),
+            base_config(),
+        ],
+        ids=["nurapid-faults", "nurapid-compressed", "dnuca", "sa-nuca", "s-nuca", "base"],
+    )
+    def test_runs_never_mutate_a_shared_spec(self, config):
+        shared = _shared_specs(make_system(config))
+        before = copy.deepcopy(shared)
+        try:
+            run_benchmark(config, "mcf", n_references=6000, seed=2)
+        except UncorrectableDataError:
+            pass  # a dirty-line DUE ends the faulty run early; fine here
+        after = _shared_specs(make_system(config))
+        assert all(a is b for a, b in zip(after, shared))
+        assert shared == before
